@@ -11,13 +11,10 @@ from .errors import (
     ConvergenceFailureError, InvalidParamsError, NbwalkError, NotConnectedError,
     ParseError, TreeGraphError, ZeroDenominatorError,
 )
-from .graph import (
-    Graph, GraphValidation, WeightedGraph, laplacian, parse_edge_list, validate,
-    weighted_from_centrality, weighted_laplacian,
-)
+from .graph import Graph, GraphValidation, laplacian, parse_edge_list, validate
 from .hitting import (
-    HittingReport, eq26_audit, hitting_linear, hitting_spectral, hitting_spectral_merw,
-    hitting_spectral_nbcrw, hitting_spectral_turw, hub_node, hub_report,
+    HittingReport, eq26_audit, hitting_linear, hitting_merw_adjacency, hitting_spectral, hub_node,
+    hub_report, walk_hitting,
 )
 from .models import (
     RoseOracle4, RoseSpec, gen_ba, gen_er, gen_ws, loglog_slope, make_rose, rose4_oracle,
@@ -27,7 +24,7 @@ from .nbcentrality import NbCentrality, NbMatrix, build_m_matrix, build_nb_matri
 from .simulate import SimConfig, SimResult, simulate_hitting, simulate_stationary
 from .spectral import LeadingEigenpair, SpectralDecomposition, leading_eig, sym_eig
 from .walks import (
-    StationaryDistribution, TransitionMatrix, WalkKind, detailed_balance_residual, ipr,
-    merw_transition, nbcrw_transition, stationary_closed, stationary_generic, transition,
-    turw_transition,
+    ReversibleWalk, StationaryDistribution, TransitionMatrix, WalkKind, detailed_balance_residual,
+    ipr, potential, reversible_walk, stationary_closed, stationary_generic,
+    stationary_nbcrw_formula, transition,
 )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -17,17 +18,17 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import InvalidParamsError, NbwalkError
+from .errors import InvalidParamsError, NbwalkError, ParseError
 from .graph import parse_edge_list
-from .hitting import eq26_audit, hitting_linear, hitting_spectral, hub_node
+from .hitting import eq26_audit, hitting_linear, hitting_spectral, hub_node, walk_hitting
 from .models import (
     RoseSpec, gen_ba, gen_er, gen_ws, loglog_slope, make_rose, rose4_oracle, scaling_table,
 )
 from .nbcentrality import nb_centrality
 from .simulate import SimConfig, simulate_hitting, simulate_stationary
 from .walks import (
-    WalkKind, adjacency_leading_eigvec, detailed_balance_residual, ipr,
-    stationary_closed, stationary_generic, transition,
+    WalkKind, adjacency_leading_eigvec, detailed_balance_residual, ipr, reversible_walk,
+    stationary_generic, transition,
 )
 
 ENV_PREFIX = "NBWALK_"
@@ -107,8 +108,8 @@ def build_parser():
     add_graph_arg(p)
     p.add_argument("--walk", choices=["turw", "merw", "nbcrw"], required=True)
     p.add_argument("--mode", choices=["stationary", "hitting"], required=True)
-    p.add_argument("--source", type=int, default=None)
-    p.add_argument("--target", type=int, default=None)
+    p.add_argument("--source", default=None, help="node id as written in the graph file")
+    p.add_argument("--target", default=None, help="node id as written in the graph file")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--max-steps", type=int, default=1_000_000)
     p.add_argument("--burn-in", type=int, default=1000)
@@ -118,9 +119,21 @@ def build_parser():
 def _load_graph(args):
     with open(args.graph_file, "rb") as fh:
         raw = fh.read()
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc.reason} at byte {exc.start}")
     delimiter = "," if args.delimiter == "comma" else None
-    g = parse_edge_list(raw.decode(), index_base=args.index_base, delimiter=delimiter)
+    g = parse_edge_list(text, index_base=args.index_base, delimiter=delimiter)
     return g, hashlib.sha256(raw).hexdigest()
+
+
+def _node_index(g, node_id):
+    """Internal index of the node whose id in the graph file is ``node_id``."""
+    try:
+        return g.labels.index(int(node_id))
+    except ValueError:
+        raise InvalidParamsError(f"no node with id {node_id!r} in the graph file")
 
 
 def _walk_kinds(value):
@@ -141,25 +154,28 @@ def cmd_centrality(args):
     }, digest, None
 
 
+def _stationary_entry(kind, g, args):
+    walk = reversible_walk(kind, g, tol=args.tol)
+    sd = walk.stationary()
+    entry = {
+        "kind": kind.value,
+        "pi": _listify(sd.pi),
+        "ipr": ipr(sd.pi),
+        "method": sd.method,
+    }
+    if args.check:
+        p = walk.transition()
+        generic = stationary_generic(p, tol=args.tol)
+        entry["check"] = {
+            "closed_vs_linear_max_gap": float(np.max(np.abs(sd.pi - generic.pi))),
+            "detailed_balance_residual": detailed_balance_residual(sd.pi, p),
+        }
+    return entry
+
+
 def cmd_stationary(args):
     g, digest = _load_graph(args)
-    reports = []
-    for kind in _walk_kinds(args.walk):
-        sd = stationary_closed(kind, g, tol=args.tol)
-        entry = {
-            "kind": kind.value,
-            "pi": _listify(sd.pi),
-            "ipr": ipr(sd.pi),
-            "method": sd.method,
-        }
-        if args.check:
-            p = transition(kind, g, tol=args.tol)
-            generic = stationary_generic(p, tol=args.tol)
-            entry["check"] = {
-                "closed_vs_linear_max_gap": float(np.max(np.abs(sd.pi - generic.pi))),
-                "detailed_balance_residual": detailed_balance_residual(sd.pi, p),
-            }
-        reports.append(entry)
+    reports = [_stationary_entry(kind, g, args) for kind in _walk_kinds(args.walk)]
     rows = [["kind", "node", "pi"]]
     for entry in reports:
         for node, value in zip(g.labels, entry["pi"]):
@@ -188,13 +204,13 @@ def cmd_hitting(args):
         for tgt in targets:
             if tgt == "hub":
                 h = hub_node(g)
-                entry["hub_node"] = h
+                entry["hub_node"] = g.labels[h]
                 entry["t_hub"] = float(main.t_partial[h])
             elif tgt == "global":
                 pass  # t_global always present
             else:
-                node = int(tgt)
-                entry[f"t_partial_{node}"] = float(main.t_partial[node])
+                node = _node_index(g, tgt)
+                entry[f"t_partial_{g.labels[node]}"] = float(main.t_partial[node])
         if kind is WalkKind.NBCRW and args.verbatim_eq26:
             audit = eq26_audit(g, tol=args.tol)
             entry["eq26_audit"] = {
@@ -277,8 +293,9 @@ def cmd_compare(args):
     rows = [["kind", "n", "ipr", "pi_hub", "t_hub", "t_global", "method"]]
     entries = []
     for kind in WalkKind:
-        sd = stationary_closed(kind, g, tol=args.tol)
-        report = hitting_spectral(kind, g, tol=args.tol)
+        walk = reversible_walk(kind, g, tol=args.tol)
+        sd = walk.stationary()
+        report = walk_hitting(walk, tol=args.tol)
         entry = {
             "kind": kind.value,
             "n": g.n,
@@ -291,7 +308,7 @@ def cmd_compare(args):
         entries.append(entry)
         rows.append([entry["kind"], g.n, _fmt(entry["ipr"]), _fmt(entry["pi_hub"]),
                      _fmt(entry["t_hub"]), _fmt(entry["t_global"]), entry["method"]])
-    return {"hub_node": hub, "rows": entries}, digest, rows
+    return {"hub_node": g.labels[hub], "rows": entries}, digest, rows
 
 
 def cmd_scaling(args):
@@ -322,7 +339,7 @@ def cmd_simulate(args):
     else:
         if args.source is None or args.target is None:
             raise InvalidParamsError("hitting mode needs --source and --target")
-        result = simulate_hitting(p, args.source, args.target, cfg)
+        result = simulate_hitting(p, _node_index(g, args.source), _node_index(g, args.target), cfg)
     payload = {
         "mode": result.mode,
         "walk": args.walk,
@@ -373,12 +390,14 @@ def _write_output(args, payload, rows, manifest):
     else:
         payload = dict(payload)
         payload["manifest"] = manifest
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # Streamed: a full hitting matrix as one string costs several times its size.
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
+        text = itertools.chain(encoder.iterencode(payload), ("\n",))
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            fh.writelines(text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
 
 
 def main(argv=None):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ class Graph:
     """
 
     n: int
-    edges: tuple  # tuple of (u, v) pairs with u < v
+    edges: tuple  # strictly increasing (u, v) pairs with u < v
     labels: tuple = None
 
     def __post_init__(self):
@@ -30,11 +30,19 @@ class Graph:
             raise InvalidParamsError(f"node count must be >= 1, got {self.n}")
         if self.labels is None:
             object.__setattr__(self, "labels", tuple(range(self.n)))
+        if len(self.labels) != self.n:
+            raise InvalidParamsError(f"{len(self.labels)} labels for n={self.n} nodes")
+        prev = None
         for (u, v) in self.edges:
             if u == v:
                 raise InvalidParamsError(f"self-loop at node {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise InvalidParamsError(f"edge ({u}, {v}) out of range for n={self.n}")
+            if u > v:
+                raise InvalidParamsError(f"edge ({u}, {v}) must be listed as ({v}, {u})")
+            if prev is not None and (u, v) <= prev:
+                raise InvalidParamsError(f"edges not sorted and distinct at ({u}, {v})")
+            prev = (u, v)
 
     @property
     def num_edges(self):
@@ -66,44 +74,8 @@ class Graph:
     @staticmethod
     def from_edges(n, edges, labels=None):
         """Build a graph from an iterable of (u, v) pairs, collapsing duplicates."""
-        seen = set()
-        out = []
-        for (u, v) in edges:
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                continue
-            seen.add((u, v))
-            out.append((u, v))
-        return Graph(n=n, edges=tuple(sorted(out)), labels=labels)
-
-
-@dataclass(frozen=True, eq=False)
-class WeightedGraph:
-    """Symmetric nonnegative edge weights with zero diagonal."""
-
-    n: int
-    weights: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.n, self.n):
-            raise InvalidParamsError("weight matrix shape mismatch")
-        if np.any(w < 0):
-            raise InvalidParamsError("negative edge weight")
-        if np.max(np.abs(w - w.T)) > 0:
-            raise InvalidParamsError("weight matrix must be symmetric")
-        if np.any(np.diag(w) != 0):
-            raise InvalidParamsError("weight matrix must have zero diagonal")
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def strengths(self):
-        return self.weights.sum(axis=1)
-
-    @property
-    def total_strength(self):
-        return float(self.strengths.sum())
+        canonical = {(min(u, v), max(u, v)) for (u, v) in edges}
+        return Graph(n=n, edges=tuple(sorted(canonical)), labels=labels)
 
 
 @dataclass(frozen=True)
@@ -163,17 +135,10 @@ def parse_edge_list(text, index_base=0, delimiter=None):
     n = header_n if header_n is not None else max_id + 1
     if max_id is not None and max_id >= n:
         raise ParseError(f"node id {max_id + index_base} out of range for %N {n}")
-    dedup = set()
-    edges = []
-    for (u, v) in raw_edges:
-        key = (min(u, v), max(u, v))
-        if key in dedup:
-            logger.warning("duplicate edge (%d, %d) collapsed", u + index_base, v + index_base)
-            continue
-        dedup.add(key)
-        edges.append(key)
-    labels = tuple(range(index_base, n + index_base))
-    return Graph(n=n, edges=tuple(sorted(edges)), labels=labels)
+    g = Graph.from_edges(n, raw_edges, labels=tuple(range(index_base, n + index_base)))
+    if g.num_edges < len(raw_edges):
+        logger.warning("%d duplicate edges collapsed", len(raw_edges) - g.num_edges)
+    return g
 
 
 def validate(g):
@@ -209,19 +174,3 @@ def laplacian(g):
     """Combinatorial Laplacian: degree matrix minus adjacency."""
     a = g.adjacency
     return np.diag(a.sum(axis=1)) - a
-
-
-def weighted_from_centrality(g, x):
-    """Weighted graph with w_ij = a_ij * x_i * x_j for a nonnegative vector x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.n,):
-        raise InvalidParamsError(f"centrality vector length {x.shape} != {g.n}")
-    if np.any(x < 0):
-        raise InvalidParamsError("negative centrality entry")
-    w = g.adjacency * np.outer(x, x)
-    return WeightedGraph(n=g.n, weights=w)
-
-
-def weighted_laplacian(w):
-    """Laplacian of a weighted graph: strengths on the diagonal minus weights."""
-    return np.diag(w.strengths) - w.weights

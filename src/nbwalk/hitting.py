@@ -1,4 +1,4 @@
-"""Hitting times for the three walks: spectral formulas and a linear-solve oracle."""
+"""Hitting times: one weighted-Laplacian formula for every walk, and its oracles."""
 
 from __future__ import annotations
 
@@ -7,10 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParamsError, NotConnectedError
-from .graph import validate, weighted_from_centrality, weighted_laplacian
-from .nbcentrality import nb_centrality
+from .nbcentrality import nb_centrality  # noqa: F401  -- benchmarks/tests/test_tracer.py expects it
 from .spectral import DEFAULT_TOL, sym_eig
-from .walks import WalkKind, adjacency_leading_eigvec, nbcrw_transition, transition
+from .walks import WalkKind, adjacency_leading_eigvec, reversible_walk, transition
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,44 +48,8 @@ def hitting_linear(p):
     return HittingReport(kind=p.kind, t=t, t_partial=t_partial, t_global=t_global, method="linear_solve")
 
 
-def _spectral_unweighted_style(evals, evecs, node_weights, kind):
-    """Shared evaluation for the Laplacian-based formulas.
-
-    ``node_weights`` is the degree vector (unbiased walk) or the strength
-    vector (weighted equivalent of the centrality-biased walk); their sum
-    plays the role of 2E resp. the total strength.
-    """
-    n = evecs.shape[0]
-    sigma = evals[1:]
-    if np.any(sigma <= 0):
-        raise NotConnectedError("Laplacian has repeated zero eigenvalue: graph disconnected")
-    v = evecs[:, 1:]
-    total = float(node_weights.sum())
-    gk = node_weights @ v
-    ck = gk / sigma
-    ek = total / sigma
-    alpha = v @ ck
-    gram = (v * ek[None, :]) @ v.T
-    gdiag = np.diag(gram)
-    t = alpha[:, None] - alpha[None, :] - gram + gdiag[None, :]
-    np.fill_diagonal(t, 0.0)
-    t_partial = n / (n - 1.0) * (gdiag - alpha)
-    t_global = total / (n - 1.0) * float(np.sum(1.0 / sigma))
-    return HittingReport(kind=kind, t=t, t_partial=t_partial, t_global=t_global, method="spectral")
-
-
-def hitting_spectral_turw(g, tol=DEFAULT_TOL):
-    """Unbiased-walk hitting times from the Laplacian spectrum."""
-    if not validate(g).connected:
-        raise NotConnectedError("graph is not connected")
-    a = g.adjacency
-    lap = np.diag(a.sum(axis=1)) - a
-    dec = sym_eig(lap, tol=tol)
-    return _spectral_unweighted_style(dec.eigenvalues, dec.eigenvectors, g.degrees.astype(float), WalkKind.TURW)
-
-
-def hitting_spectral_merw(g, tol=DEFAULT_TOL):
-    """Maximal-entropy-walk hitting times from the adjacency spectrum."""
+def hitting_merw_adjacency(g, tol=DEFAULT_TOL):
+    """Oracle: maximal-entropy-walk hitting times from the adjacency spectrum."""
     lam1, psi1 = adjacency_leading_eigvec(g, tol)
     dec = sym_eig(g.adjacency, tol=tol)
     n = g.n
@@ -105,36 +68,36 @@ def hitting_spectral_merw(g, tol=DEFAULT_TOL):
     return HittingReport(kind=WalkKind.MERW, t=t, t_partial=t_partial, t_global=t_global, method="spectral")
 
 
-def hitting_spectral_nbcrw(g, tol=DEFAULT_TOL, verbatim_prefactor=False):
-    """Centrality-biased-walk hitting times via the weighted-graph Laplacian.
+def walk_hitting(walk, tol=DEFAULT_TOL):
+    """Hitting times of a reversible walk from the spectrum of its weighted Laplacian.
 
-    ``verbatim_prefactor`` applies an extra 1/2 to the pairwise matrix as the
-    source formula prints it.  That factor disagrees with the partial/global
-    formulas, the linear-solve oracle, and the unweighted specialization, so
-    the default drops it; the flag exists for auditability.
+    Consumes ``walk.w``, over which the Laplacian is built.  The strengths
+    ``s`` take the place of the degrees, and their sum the place of 2E.
     """
-    nc = nb_centrality(g, tol=tol)
-    w = weighted_from_centrality(g, nc.x)
-    dec = sym_eig(weighted_laplacian(w), tol=tol)
-    report = _spectral_unweighted_style(dec.eigenvalues, dec.eigenvectors, w.strengths, WalkKind.NBCRW)
-    if verbatim_prefactor:
-        report = HittingReport(
-            kind=report.kind,
-            t=0.5 * report.t,
-            t_partial=report.t_partial,
-            t_global=report.t_global,
-            method="spectral_verbatim",
-        )
-    return report
+    dec = sym_eig(walk.laplacian(), tol=tol)
+    evals, evecs = dec.eigenvalues, dec.eigenvectors
+    n = evecs.shape[0]
+    sigma = evals[1:]
+    if np.any(sigma <= 0):
+        raise NotConnectedError("Laplacian has repeated zero eigenvalue: graph disconnected")
+    v = evecs[:, 1:]
+    total = float(walk.s.sum())
+    gk = walk.s @ v
+    ck = gk / sigma
+    ek = total / sigma
+    alpha = v @ ck
+    gram = (v * ek[None, :]) @ v.T
+    gdiag = np.diag(gram)
+    t = alpha[:, None] - alpha[None, :] - gram + gdiag[None, :]
+    np.fill_diagonal(t, 0.0)
+    t_partial = n / (n - 1.0) * (gdiag - alpha)
+    t_global = total / (n - 1.0) * float(np.sum(1.0 / sigma))
+    return HittingReport(kind=walk.kind, t=t, t_partial=t_partial, t_global=t_global)
 
 
 def hitting_spectral(kind, g, tol=DEFAULT_TOL):
-    kind = WalkKind(kind)
-    if kind is WalkKind.TURW:
-        return hitting_spectral_turw(g, tol)
-    if kind is WalkKind.MERW:
-        return hitting_spectral_merw(g, tol)
-    return hitting_spectral_nbcrw(g, tol)
+    """Pairwise, partial and global mean hitting times of any walk kind."""
+    return walk_hitting(reversible_walk(kind, g, tol), tol)
 
 
 def hub_node(g):
@@ -156,14 +119,14 @@ def eq26_audit(g, tol=DEFAULT_TOL):
     without the printed 1/2), the partial/global values, and the linear-solve
     oracle, so the disagreement of the verbatim form is visible in one report.
     """
-    consistent = hitting_spectral_nbcrw(g, tol=tol)
-    verbatim = hitting_spectral_nbcrw(g, tol=tol, verbatim_prefactor=True)
-    linear = hitting_linear(nbcrw_transition(g, tol=tol))
+    consistent = hitting_spectral(WalkKind.NBCRW, g, tol=tol)
+    t_verbatim = 0.5 * consistent.t
+    linear = hitting_linear(transition(WalkKind.NBCRW, g, tol=tol))
     gap_consistent = float(np.max(np.abs(consistent.t - linear.t)))
-    gap_verbatim = float(np.max(np.abs(verbatim.t - linear.t)))
+    gap_verbatim = float(np.max(np.abs(t_verbatim - linear.t)))
     return {
         "t_consistent": consistent.t,
-        "t_verbatim": verbatim.t,
+        "t_verbatim": t_verbatim,
         "t_linear": linear.t,
         "t_partial": consistent.t_partial,
         "t_global": consistent.t_global,

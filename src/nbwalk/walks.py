@@ -1,4 +1,8 @@
-"""Transition matrices, stationary distributions, and the IPR metric."""
+"""Transition matrices, stationary distributions, and the IPR metric.
+
+Every walk is the reversible walk on w = A∘xxᵀ for a node potential x: x = 1
+(TURW), the leading adjacency eigenvector (MERW) or the NB centrality (NBCRW).
+"""
 
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ import numpy as np
 from .errors import InvalidParamsError, NotConnectedError, ZeroDenominatorError
 from .graph import validate
 from .nbcentrality import nb_centrality
-from .spectral import DEFAULT_TOL, sym_eig
+from .spectral import DEFAULT_TOL, _sign_fix, sym_eig
 
 
 class WalkKind(str, enum.Enum):
@@ -23,7 +27,6 @@ class WalkKind(str, enum.Enum):
 class TransitionMatrix:
     kind: WalkKind
     p: np.ndarray = field(repr=False)
-    fingerprint: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,13 +36,41 @@ class StationaryDistribution:
     method: str = "closed_form"
 
 
-def turw_transition(g):
-    """Uniform transition over neighbors: p_ij = a_ij / d_i."""
-    degs = g.degrees
-    if np.any(degs == 0):
-        raise NotConnectedError("isolated node: unbiased walk is undefined")
-    p = g.adjacency / degs[:, None]
-    return TransitionMatrix(kind=WalkKind.TURW, p=p, fingerprint=g.fingerprint())
+class ReversibleWalk:
+    """The walk on w = A∘xxᵀ for a nonnegative node potential ``x``, with strengths s = w 1.
+
+    ``w`` is fresh for each walk; ``transition`` and ``laplacian`` are built over it.
+    """
+
+    def __init__(self, kind, g, x):
+        self.kind = WalkKind(kind)
+        x = np.asarray(x, dtype=float)
+        if np.any(x < 0):
+            raise InvalidParamsError("negative potential entry")
+        self.w = g.adjacency
+        self.w *= x[:, None]
+        self.w *= x[None, :]
+        self.s = self.w.sum(axis=1)
+        bad = np.flatnonzero(self.s <= 0.0)
+        if bad.size:
+            raise ZeroDenominatorError(int(bad[0]))
+
+    def stationary(self):
+        """pi = s / sum(s); pi_i p_ij = w_ij / sum(s) is symmetric, so detailed balance holds."""
+        return StationaryDistribution(kind=self.kind, pi=self.s / self.s.sum())
+
+    def transition(self):
+        """p_ij = w_ij / s_i, built in place over ``w``, which the walk then drops."""
+        p, self.w = self.w, None
+        p /= self.s[:, None]
+        return TransitionMatrix(kind=self.kind, p=p)
+
+    def laplacian(self):
+        """diag(s) - w, built in place over ``w``, which the walk then drops."""
+        lap, self.w = self.w, None
+        lap *= -1.0
+        lap[np.diag_indices_from(lap)] = self.s
+        return lap
 
 
 def adjacency_leading_eigvec(g, tol=DEFAULT_TOL):
@@ -47,64 +78,34 @@ def adjacency_leading_eigvec(g, tol=DEFAULT_TOL):
     if not validate(g).connected:
         raise NotConnectedError("graph is not connected")
     dec = sym_eig(g.adjacency, tol=tol)
-    lam1 = float(dec.eigenvalues[-1])
-    psi1 = dec.eigenvectors[:, -1]
-    if psi1[int(np.argmax(np.abs(psi1)))] < 0:
-        psi1 = -psi1
-    return lam1, psi1
+    return float(dec.eigenvalues[-1]), _sign_fix(dec.eigenvectors[:, -1])
 
 
-def merw_transition(g, tol=DEFAULT_TOL):
-    """Eigenvector-centrality biased walk: p_ij = (a_ij/lambda1) psi1_j/psi1_i."""
-    lam1, psi1 = adjacency_leading_eigvec(g, tol)
-    p = g.adjacency * psi1[None, :] / (lam1 * psi1[:, None])
-    return TransitionMatrix(kind=WalkKind.MERW, p=p, fingerprint=g.fingerprint())
+def potential(kind, g, tol=DEFAULT_TOL):
+    """Node potential x of a walk kind: 1, adjacency eigenvector psi_1 or NB centrality."""
+    kind = WalkKind(kind)
+    if kind is WalkKind.TURW:
+        if not validate(g).connected:
+            raise NotConnectedError("graph is not connected")
+        return np.ones(g.n)
+    if kind is WalkKind.MERW:
+        return adjacency_leading_eigvec(g, tol)[1]
+    return nb_centrality(g, tol=tol).x
 
 
-def nbcrw_transition(g, tol=DEFAULT_TOL, regularize=None):
-    """Non-backtracking-centrality biased walk: p_ij = a_ij x_j / sum_k a_ik x_k.
+def reversible_walk(kind, g, tol=DEFAULT_TOL):
+    """The walk of ``kind`` on ``g``, keyed by its node potential."""
+    return ReversibleWalk(kind, g, potential(kind, g, tol))
 
-    If a node's neighborhood carries vanishing centrality the construction
-    errors; ``regularize`` substitutes x <- x + delta before weighting, which
-    deviates from the defining formula and is flagged for that reason.
-    """
-    nc = nb_centrality(g, tol=tol)
-    x = nc.x
-    if regularize is not None:
-        if regularize <= 0:
-            raise InvalidParamsError("regularization delta must be positive")
-        x = x + regularize
-    a = g.adjacency
-    denom = a @ x
-    eps = 1e-12 * max(float(denom.max()), 1e-300)
-    bad = np.where(denom <= eps)[0]
-    if bad.size:
-        raise ZeroDenominatorError(int(bad[0]))
-    p = a * x[None, :] / denom[:, None]
-    return TransitionMatrix(kind=WalkKind.NBCRW, p=p, fingerprint=g.fingerprint())
+
+def transition(kind, g, tol=DEFAULT_TOL):
+    """Transition matrix p_ij = w_ij / s_i."""
+    return reversible_walk(kind, g, tol).transition()
 
 
 def stationary_closed(kind, g, tol=DEFAULT_TOL):
-    """Closed-form stationary distribution for each walk kind."""
-    kind = WalkKind(kind)
-    if kind is WalkKind.TURW:
-        degs = g.degrees.astype(float)
-        if np.any(degs == 0):
-            raise NotConnectedError("isolated node: unbiased walk is undefined")
-        pi = degs / degs.sum()
-    elif kind is WalkKind.MERW:
-        _, psi1 = adjacency_leading_eigvec(g, tol)
-        pi = psi1**2
-        pi = pi / pi.sum()
-    else:
-        nc = nb_centrality(g, tol=tol)
-        kappa = nc.kappa
-        weights = ((kappa**2 - 1.0) / kappa + g.degrees / kappa) * nc.x**2
-        q = weights.sum()
-        if q <= 0:
-            raise ZeroDenominatorError(-1, "degenerate stationary normalization")
-        pi = weights / q
-    return StationaryDistribution(kind=kind, pi=pi, method="closed_form")
+    """Closed-form stationary distribution pi = s / sum(s)."""
+    return reversible_walk(kind, g, tol).stationary()
 
 
 def stationary_generic(p, tol=DEFAULT_TOL):
@@ -123,6 +124,20 @@ def stationary_generic(p, tol=DEFAULT_TOL):
     return StationaryDistribution(kind=p.kind, pi=pi, method="linear_solve")
 
 
+def stationary_nbcrw_formula(g, tol=DEFAULT_TOL):
+    """Oracle: the paper's NBCRW closed form pi ∝ ((kappa^2 - 1)/kappa + d/kappa) x^2.
+
+    It agrees with s / sum(s) up to the residual of the centrality eigenpair.
+    """
+    nc = nb_centrality(g, tol=tol)
+    kappa = nc.kappa
+    weights = ((kappa**2 - 1.0) / kappa + g.degrees / kappa) * nc.x**2
+    q = weights.sum()
+    if q <= 0:
+        raise ZeroDenominatorError(-1, "degenerate stationary normalization")
+    return StationaryDistribution(kind=WalkKind.NBCRW, pi=weights / q, method="closed_form")
+
+
 def detailed_balance_residual(pi, p):
     """max_ij |pi_i p_ij - pi_j p_ji|."""
     pi = np.asarray(pi, dtype=float)
@@ -134,13 +149,3 @@ def ipr(pi):
     """Inverse participation ratio sum(pi^2); in [1/N, 1] for a distribution."""
     pi = np.asarray(pi, dtype=float)
     return float(np.sum(pi * pi))
-
-
-def transition(kind, g, tol=DEFAULT_TOL):
-    """Transition matrix dispatch by walk kind."""
-    kind = WalkKind(kind)
-    if kind is WalkKind.TURW:
-        return turw_transition(g)
-    if kind is WalkKind.MERW:
-        return merw_transition(g, tol)
-    return nbcrw_transition(g, tol)

@@ -132,6 +132,45 @@ def test_hitting_verbatim_audit(tmp_path, capsys):
     assert "prefactor" in audit["note"]
 
 
+@pytest.mark.parametrize("args", [
+    ["hitting", "--walk", "turw", "--target", "abc"],
+    ["hitting", "--walk", "turw", "--target", "-1"],
+    ["hitting", "--walk", "turw", "--target", "7"],
+    ["hitting", "--walk", "turw", "--target", "1.5"],
+    ["simulate", "--walk", "turw", "--mode", "hitting", "--source", "abc", "--target", "1"],
+    ["simulate", "--walk", "turw", "--mode", "hitting", "--source", "0", "--target", "-1"],
+    ["simulate", "--walk", "turw", "--mode", "hitting", "--source", "7", "--target", "1"],
+], ids=["hitting-non-integer", "hitting-negative", "hitting-unknown", "hitting-float",
+        "simulate-non-integer", "simulate-negative", "simulate-unknown"])
+def test_bad_node_id_exit_code(tmp_path, capsys, args):
+    code = main([args[0], rose2_file(tmp_path)] + args[1:])
+    captured = capsys.readouterr()
+    assert code == 6
+    assert json.loads(captured.err)["error"] == "invalid_params"
+
+
+def test_node_ids_are_file_ids(tmp_path, capsys):
+    path = write_graph(tmp_path, "k4-one-based.txt", "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    out = run_json(capsys, ["hitting", path, "--index-base", "1", "--walk", "turw",
+                            "--target", "hub,4"])
+    entry = out["reports"][0]
+    assert entry["hub_node"] == 1
+    assert entry["t_partial_4"] == pytest.approx(entry["t_partial"][3], rel=1e-15)
+    out = run_json(capsys, ["--seed", "4", "simulate", path, "--index-base", "1", "--walk",
+                            "turw", "--mode", "hitting", "--source", "4", "--target", "1",
+                            "--trials", "500"])
+    assert out["samples"] == 500
+
+
+def test_non_utf8_input_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0 1\n1 2\n2 0 # caf\xe9\n")
+    code = main(["centrality", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err)["error"] == "parse_error"
+
+
 def test_full_matrix_gate(tmp_path, capsys):
     big = str(tmp_path / "ring.txt")
     assert main(["-o", big, "generate", "--model", "ws", "--n", "600", "--k", "4",

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from nbwalk import (
-    Graph, InvalidParamsError, ParseError, WeightedGraph, laplacian, parse_edge_list,
-    validate, weighted_from_centrality, weighted_laplacian,
+    Graph, InvalidParamsError, ParseError, ReversibleWalk, WalkKind, ZeroDenominatorError,
+    laplacian, parse_edge_list, reversible_walk, validate,
 )
 
 from conftest import complete_graph, cycle_graph
@@ -122,62 +122,69 @@ def test_laplacian_zero_multiplicity_counts_components():
 
 
 def test_weighted_from_centrality_uniform_triangle():
-    w = weighted_from_centrality(complete_graph(3), np.ones(3))
-    assert np.allclose(w.weights, complete_graph(3).adjacency)
-    assert np.allclose(w.strengths, [2.0, 2.0, 2.0])
-    assert w.total_strength == pytest.approx(6.0)
+    walk = ReversibleWalk(WalkKind.TURW, complete_graph(3), np.ones(3))
+    assert np.allclose(walk.w, complete_graph(3).adjacency)
+    assert np.allclose(walk.s, [2.0, 2.0, 2.0])
+    assert walk.s.sum() == pytest.approx(6.0)
 
 
 def test_weighted_from_centrality_path_values():
     g = path_graph(3)
-    w = weighted_from_centrality(g, np.array([1.0, 2.0, 3.0]))
-    assert w.weights[0, 1] == pytest.approx(2.0)
-    assert w.weights[1, 2] == pytest.approx(6.0)
-    assert np.allclose(w.strengths, [2.0, 8.0, 6.0])
-    assert w.total_strength == pytest.approx(16.0)
+    walk = ReversibleWalk(WalkKind.NBCRW, g, np.array([1.0, 2.0, 3.0]))
+    assert walk.w[0, 1] == pytest.approx(2.0)
+    assert walk.w[1, 2] == pytest.approx(6.0)
+    assert np.allclose(walk.s, [2.0, 8.0, 6.0])
+    assert walk.s.sum() == pytest.approx(16.0)
 
 
 def test_weighted_from_centrality_zero_vector():
-    w = weighted_from_centrality(complete_graph(4), np.zeros(4))
-    assert not np.any(w.weights)
+    with pytest.raises(ZeroDenominatorError):
+        ReversibleWalk(WalkKind.NBCRW, complete_graph(4), np.zeros(4))
 
 
 def test_weighted_from_centrality_rejects_negative():
     with pytest.raises(InvalidParamsError):
-        weighted_from_centrality(complete_graph(3), np.array([1.0, -1.0, 1.0]))
+        ReversibleWalk(WalkKind.NBCRW, complete_graph(3), np.array([1.0, -1.0, 1.0]))
 
 
 def test_weighted_laplacian_path_values():
     g = path_graph(3)
-    w = weighted_from_centrality(g, np.array([1.0, 2.0, 3.0]))
+    walk = ReversibleWalk(WalkKind.NBCRW, g, np.array([1.0, 2.0, 3.0]))
     expected = np.array([[2.0, -2.0, 0.0], [-2.0, 8.0, -6.0], [0.0, -6.0, 6.0]])
-    assert np.allclose(weighted_laplacian(w), expected)
+    assert np.allclose(walk.laplacian(), expected)
+    assert walk.w is None
 
 
 def test_weighted_laplacian_matches_unweighted_on_uniform():
     g = complete_graph(3)
-    w = weighted_from_centrality(g, np.ones(3))
-    assert np.allclose(weighted_laplacian(w), laplacian(g))
-
-
-def test_weighted_laplacian_zero_graph():
-    w = WeightedGraph(n=3, weights=np.zeros((3, 3)))
-    assert not np.any(weighted_laplacian(w))
+    assert np.allclose(reversible_walk(WalkKind.TURW, g).laplacian(), laplacian(g))
 
 
 def test_strengths_equal_weight_row_sums(corpus):
     for name, g in corpus[:10]:
-        x = np.linspace(0.5, 1.5, g.n)
-        w = weighted_from_centrality(g, x)
-        assert np.allclose(w.strengths, w.weights.sum(axis=1)), name
+        walk = ReversibleWalk(WalkKind.NBCRW, g, np.linspace(0.5, 1.5, g.n))
+        assert np.allclose(walk.s, walk.w.sum(axis=1)), name
 
 
-def test_weighted_graph_validation():
-    bad = np.array([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(InvalidParamsError):
-        WeightedGraph(n=2, weights=bad)
-    with pytest.raises(InvalidParamsError):
-        WeightedGraph(n=2, weights=-np.ones((2, 2)))
+def test_graph_rejects_reversed_edge():
+    with pytest.raises(InvalidParamsError, match="listed as"):
+        Graph(n=3, edges=((1, 0),))
+
+
+def test_graph_rejects_duplicate_edge():
+    # Accepted, duplicates would give degrees [3, 3, 2] but adjacency row sums [2, 2, 2].
+    with pytest.raises(InvalidParamsError, match="not sorted and distinct"):
+        Graph(n=3, edges=((0, 1), (0, 1), (1, 2), (0, 2)))
+
+
+def test_graph_rejects_unsorted_edges():
+    with pytest.raises(InvalidParamsError, match="not sorted and distinct"):
+        Graph(n=3, edges=((1, 2), (0, 1)))
+
+
+def test_graph_rejects_wrong_label_count():
+    with pytest.raises(InvalidParamsError, match="labels"):
+        Graph(n=3, edges=((0, 1),), labels=(0, 1))
 
 
 def test_fingerprint_distinguishes_graphs():

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from nbwalk import (
-    RoseSpec, WalkKind, eq26_audit, hitting_linear, hitting_spectral,
-    hitting_spectral_merw, hitting_spectral_nbcrw, hitting_spectral_turw, hub_node,
-    hub_report, make_rose, stationary_closed, transition, turw_transition,
+    RoseSpec, WalkKind, eq26_audit, hitting_linear, hitting_merw_adjacency, hitting_spectral,
+    hub_node, hub_report, make_rose, stationary_closed, transition,
 )
 
 from conftest import complete_graph, cycle_graph, star_with_chord
@@ -16,7 +15,7 @@ from conftest import complete_graph, cycle_graph, star_with_chord
 
 def test_linear_complete_graph():
     for n in (3, 5, 8):
-        rep = hitting_linear(turw_transition(complete_graph(n)))
+        rep = hitting_linear(transition(WalkKind.TURW, complete_graph(n)))
         off = rep.t[~np.eye(n, dtype=bool)]
         assert np.allclose(off, n - 1.0, atol=1e-10)
         assert rep.method == "linear_solve"
@@ -24,7 +23,7 @@ def test_linear_complete_graph():
 
 def test_linear_rose_turw_class_times():
     g = make_rose(RoseSpec(m=2))
-    rep = hitting_linear(turw_transition(g))
+    rep = hitting_linear(transition(WalkKind.TURW, g))
     assert rep.t[1, 0] == pytest.approx(3.0, abs=1e-10)
     assert rep.t[3, 0] == pytest.approx(4.0, abs=1e-10)
 
@@ -38,32 +37,32 @@ def test_linear_rose_nbcrw_internal_to_hub():
 
 def test_spectral_turw_rose():
     g = make_rose(RoseSpec(m=2))
-    rep = hitting_spectral_turw(g)
+    rep = hitting_spectral(WalkKind.TURW, g)
     assert rep.t_partial[0] == pytest.approx(10.0 / 3, abs=1e-9)
     assert rep.t_global == pytest.approx(200.0 / 21, abs=1e-9)
 
 
 def test_spectral_turw_triangle():
-    rep = hitting_spectral_turw(complete_graph(3))
+    rep = hitting_spectral(WalkKind.TURW, complete_graph(3))
     assert rep.t_global == pytest.approx(2.0, abs=1e-10)
 
 
 def test_spectral_merw_rose():
     g = make_rose(RoseSpec(m=2))
-    rep = hitting_spectral_merw(g)
+    rep = hitting_spectral(WalkKind.MERW, g)
     assert rep.t_partial[0] == pytest.approx(7.0 / 3, abs=1e-9)
     assert rep.t_global == pytest.approx(200.0 / 21, abs=1e-9)
 
 
 def test_spectral_merw_triangle_matrix():
-    rep = hitting_spectral_merw(complete_graph(3))
+    rep = hitting_spectral(WalkKind.MERW, complete_graph(3))
     off = rep.t[~np.eye(3, dtype=bool)]
     assert np.allclose(off, 2.0, atol=1e-10)
 
 
 def test_spectral_nbcrw_rose():
     g = make_rose(RoseSpec(m=2))
-    rep = hitting_spectral_nbcrw(g)
+    rep = hitting_spectral(WalkKind.NBCRW, g)
     assert rep.t_partial[0] == pytest.approx(4.0 / 3 + np.sqrt(3.0), abs=1e-9)
     assert rep.t_partial[0] == pytest.approx(3.065384, abs=1e-6)
     expected_global = 40.0 / (7.0 * np.sqrt(3.0)) + 128.0 / 21
@@ -72,15 +71,15 @@ def test_spectral_nbcrw_rose():
 
 def test_spectral_nbcrw_cycle_collapses_to_turw():
     g = cycle_graph(4)
-    nb = hitting_spectral_nbcrw(g)
-    tu = hitting_spectral_turw(g)
+    nb = hitting_spectral(WalkKind.NBCRW, g)
+    tu = hitting_spectral(WalkKind.TURW, g)
     assert np.max(np.abs(nb.t - tu.t)) <= 1e-9
     assert nb.t_global == pytest.approx(tu.t_global, abs=1e-9)
 
 
 def test_spectral_nbcrw_uniform_triangle_global():
     # Uniform centrality weights reduce the weighted formula to the plain one.
-    rep = hitting_spectral_nbcrw(complete_graph(3))
+    rep = hitting_spectral(WalkKind.NBCRW, complete_graph(3))
     assert rep.t_global == pytest.approx(2.0, abs=1e-10)
 
 
@@ -150,10 +149,10 @@ def test_prefactor_audit_on_triangle():
     assert "prefactor" in audit["note"]
 
 
-def test_verbatim_prefactor_only_scales_pairwise_matrix():
-    g = star_with_chord(7)
-    plain = hitting_spectral_nbcrw(g)
-    verbatim = hitting_spectral_nbcrw(g, verbatim_prefactor=True)
-    assert np.max(np.abs(verbatim.t - 0.5 * plain.t)) <= 1e-12
-    assert verbatim.t_global == pytest.approx(plain.t_global)
-    assert verbatim.method == "spectral_verbatim"
+def test_spectral_merw_matches_adjacency_spectrum_oracle(corpus):
+    for name, g in corpus:
+        core = hitting_spectral(WalkKind.MERW, g)
+        oracle = hitting_merw_adjacency(g)
+        scale = 1.0 + oracle.t.max()
+        assert np.max(np.abs(core.t - oracle.t)) <= 1e-10 * scale, name
+        assert np.max(np.abs(core.t_partial - oracle.t_partial)) <= 1e-10 * scale, name

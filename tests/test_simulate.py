@@ -7,7 +7,7 @@ import pytest
 
 from nbwalk import (
     InvalidParamsError, RoseSpec, SimConfig, WalkKind, make_rose, simulate_hitting,
-    simulate_stationary, transition, turw_transition,
+    simulate_stationary, transition,
 )
 
 from conftest import complete_graph
@@ -23,7 +23,7 @@ def test_config_validation():
 
 
 def test_stationary_triangle_within_three_se():
-    p = turw_transition(complete_graph(3))
+    p = transition(WalkKind.TURW, complete_graph(3))
     cfg = SimConfig(seed=7, trials=10_000, max_steps=30_000, burn_in=100)
     out = simulate_stationary(p, cfg)
     assert out.mode == "stationary"
@@ -33,7 +33,7 @@ def test_stationary_triangle_within_three_se():
 
 
 def test_stationary_deterministic_for_seed():
-    p = turw_transition(complete_graph(4))
+    p = transition(WalkKind.TURW, complete_graph(4))
     cfg = SimConfig(seed=11, trials=400, max_steps=2000, burn_in=10)
     a = simulate_stationary(p, cfg)
     b = simulate_stationary(p, cfg)
@@ -42,14 +42,14 @@ def test_stationary_deterministic_for_seed():
 
 
 def test_stationary_seed_changes_output():
-    p = turw_transition(complete_graph(4))
+    p = transition(WalkKind.TURW, complete_graph(4))
     a = simulate_stationary(p, SimConfig(seed=1, trials=400, max_steps=2000))
     b = simulate_stationary(p, SimConfig(seed=2, trials=400, max_steps=2000))
     assert not np.array_equal(a.estimates, b.estimates)
 
 
 def test_hitting_complete_graph():
-    p = turw_transition(complete_graph(5))
+    p = transition(WalkKind.TURW, complete_graph(5))
     cfg = SimConfig(seed=3, trials=4000, max_steps=10_000)
     out = simulate_hitting(p, 0, 1, cfg)
     assert out.truncated == 0
@@ -57,7 +57,7 @@ def test_hitting_complete_graph():
 
 
 def test_hitting_rejects_equal_endpoints():
-    p = turw_transition(complete_graph(4))
+    p = transition(WalkKind.TURW, complete_graph(4))
     with pytest.raises(InvalidParamsError):
         simulate_hitting(p, 2, 2, SimConfig(seed=0, trials=10))
     with pytest.raises(InvalidParamsError):
@@ -79,7 +79,7 @@ def test_hitting_truncation_withholds_estimate():
 
 
 def test_hitting_deterministic_for_seed():
-    p = turw_transition(complete_graph(4))
+    p = transition(WalkKind.TURW, complete_graph(4))
     cfg = SimConfig(seed=9, trials=500, max_steps=1000)
     a = simulate_hitting(p, 0, 2, cfg)
     b = simulate_hitting(p, 0, 2, cfg)
@@ -88,6 +88,6 @@ def test_hitting_deterministic_for_seed():
 
 
 def test_rng_metadata_present():
-    p = turw_transition(complete_graph(3))
+    p = transition(WalkKind.TURW, complete_graph(3))
     out = simulate_stationary(p, SimConfig(seed=0, trials=100, max_steps=500))
     assert "PCG64" in out.rng["algorithm"]

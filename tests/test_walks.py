@@ -7,8 +7,8 @@ import pytest
 
 from nbwalk import (
     Graph, NotConnectedError, RoseSpec, TreeGraphError, WalkKind, ZeroDenominatorError,
-    detailed_balance_residual, gen_ba, ipr, make_rose, merw_transition, nb_centrality,
-    nbcrw_transition, stationary_closed, stationary_generic, transition, turw_transition,
+    detailed_balance_residual, gen_ba, ipr, make_rose, nb_centrality, stationary_closed,
+    stationary_generic, stationary_nbcrw_formula, transition,
 )
 
 from conftest import complete_graph, cycle_graph, star_with_chord
@@ -19,20 +19,20 @@ def star_graph(leaves):
 
 
 def test_turw_triangle():
-    p = turw_transition(complete_graph(3)).p
+    p = transition(WalkKind.TURW, complete_graph(3)).p
     off = p[~np.eye(3, dtype=bool)]
     assert np.allclose(off, 0.5)
     assert np.allclose(np.diag(p), 0.0)
 
 
 def test_turw_star_hub_row():
-    p = turw_transition(star_graph(3)).p
+    p = transition(WalkKind.TURW, star_graph(3)).p
     assert np.allclose(p[0], [0.0, 1.0 / 3, 1.0 / 3, 1.0 / 3])
 
 
 def test_turw_rose_hub_row():
     g = make_rose(RoseSpec(m=2))
-    p = turw_transition(g).p
+    p = transition(WalkKind.TURW, g).p
     internal = [1, 2, 4, 5]
     assert np.allclose(p[0, internal], 0.25)
     assert p[0].sum() == pytest.approx(1.0)
@@ -41,40 +41,42 @@ def test_turw_rose_hub_row():
 def test_turw_rejects_isolated_node():
     g = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(NotConnectedError):
-        turw_transition(g)
+        transition(WalkKind.TURW, g)
 
 
 def test_merw_equals_turw_on_regular_graphs():
     for g in (complete_graph(4), cycle_graph(6)):
-        assert np.max(np.abs(merw_transition(g).p - turw_transition(g).p)) <= 1e-9
+        gap = transition(WalkKind.MERW, g).p - transition(WalkKind.TURW, g).p
+        assert np.max(np.abs(gap)) <= 1e-9
 
 
 def test_merw_rose_internal_row():
     g = make_rose(RoseSpec(m=2))
-    p = merw_transition(g).p
+    p = transition(WalkKind.MERW, g).p
     assert p[1, 0] == pytest.approx(2.0 / 3, abs=1e-10)
     assert p[1, 3] == pytest.approx(1.0 / 3, abs=1e-10)
 
 
 def test_merw_star_leaf_row():
-    p = merw_transition(star_graph(3)).p
+    p = transition(WalkKind.MERW, star_graph(3)).p
     assert np.allclose(p[1], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_merw_rejects_disconnected():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     with pytest.raises(NotConnectedError):
-        merw_transition(g)
+        transition(WalkKind.MERW, g)
 
 
 def test_nbcrw_equals_turw_on_regular_graphs():
     for g in (complete_graph(5), cycle_graph(6)):
-        assert np.max(np.abs(nbcrw_transition(g).p - turw_transition(g).p)) <= 1e-9
+        gap = transition(WalkKind.NBCRW, g).p - transition(WalkKind.TURW, g).p
+        assert np.max(np.abs(gap)) <= 1e-9
 
 
 def test_nbcrw_rose_internal_and_peripheral_rows():
     g = make_rose(RoseSpec(m=2))
-    p = nbcrw_transition(g).p
+    p = transition(WalkKind.NBCRW, g).p
     assert p[1, 0] == pytest.approx(2.0 / (2.0 + np.sqrt(3.0)), abs=1e-10)
     assert np.allclose(p[3, [1, 2]], 0.5, atol=1e-10)
 
@@ -82,7 +84,7 @@ def test_nbcrw_rose_internal_and_peripheral_rows():
 def test_nbcrw_rejects_tree():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(TreeGraphError):
-        nbcrw_transition(g)
+        transition(WalkKind.NBCRW, g)
 
 
 def test_nbcrw_scale_invariance():
@@ -94,18 +96,6 @@ def test_nbcrw_scale_invariance():
         scaled = c * x
         p = a * scaled[None, :] / (a @ scaled)[:, None]
         assert np.max(np.abs(p - reference)) <= 1e-12
-
-
-def test_nbcrw_regularize_must_be_positive():
-    from nbwalk import InvalidParamsError
-
-    with pytest.raises(InvalidParamsError):
-        nbcrw_transition(star_with_chord(6), regularize=-1.0)
-
-
-def test_nbcrw_regularize_keeps_rows_stochastic():
-    p = nbcrw_transition(star_with_chord(6), regularize=1e-3).p
-    assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def test_zero_denominator_error_reports_node():
@@ -153,14 +143,14 @@ def test_stationary_merw_rose():
 
 
 def test_stationary_generic_uniform_on_complete():
-    pi = stationary_generic(turw_transition(complete_graph(6))).pi
+    pi = stationary_generic(transition(WalkKind.TURW, complete_graph(6))).pi
     assert np.allclose(pi, 1.0 / 6, atol=1e-12)
 
 
 def test_stationary_generic_matches_closed_rose():
     g = make_rose(RoseSpec(m=3))
     closed = stationary_closed(WalkKind.NBCRW, g).pi
-    generic = stationary_generic(nbcrw_transition(g)).pi
+    generic = stationary_generic(transition(WalkKind.NBCRW, g)).pi
     assert np.max(np.abs(closed - generic)) <= 1e-10
     assert generic.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -174,7 +164,7 @@ def test_stationary_merw_star():
 def test_stationary_method_provenance():
     g = complete_graph(4)
     assert stationary_closed(WalkKind.TURW, g).method == "closed_form"
-    assert stationary_generic(turw_transition(g)).method == "linear_solve"
+    assert stationary_generic(transition(WalkKind.TURW, g)).method == "linear_solve"
 
 
 def test_stationary_fixed_point_residual(corpus):
@@ -206,3 +196,10 @@ def test_ipr_localization_ordering_on_ba_instance():
     s_nbcrw = ipr(stationary_closed(WalkKind.NBCRW, g).pi)
     s_merw = ipr(stationary_closed(WalkKind.MERW, g).pi)
     assert s_nbcrw < s_merw
+
+
+def test_stationary_nbcrw_matches_paper_formula(corpus):
+    for name, g in corpus:
+        core = stationary_closed(WalkKind.NBCRW, g).pi
+        paper = stationary_nbcrw_formula(g).pi
+        assert np.max(np.abs(core - paper) / paper) <= 1e-9, name
