@@ -149,6 +149,7 @@ def cmd_centrality(args):
         "x": _listify(nc.x),
         "y": _listify(nc.y),
         "residual": nc.residual,
+        "solver": {"path": nc.path, "iterations": nc.iterations, "polished": nc.polished},
         "eigenvector_centrality": _listify(psi1),
         "degrees": [int(d) for d in g.degrees],
     }, digest, None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,20 +49,29 @@ class Graph:
     def num_edges(self):
         return len(self.edges)
 
+    @cached_property
+    def arcs(self):
+        """The 2E directed edges as read-only (src, dst) arrays in lexicographic order."""
+        e = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        src = np.concatenate([e[:, 0], e[:, 1]])
+        dst = np.concatenate([e[:, 1], e[:, 0]])
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        src.setflags(write=False)
+        dst.setflags(write=False)
+        return src, dst
+
     @property
     def adjacency(self):
         a = np.zeros((self.n, self.n))
-        for (u, v) in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        a[self.arcs] = 1.0
         return a
 
-    @property
+    @cached_property
     def degrees(self):
-        d = np.zeros(self.n, dtype=np.int64)
-        for (u, v) in self.edges:
-            d[u] += 1
-            d[v] += 1
+        """Node degrees (read-only, computed once)."""
+        d = np.bincount(self.arcs[0], minlength=self.n)
+        d.setflags(write=False)
         return d
 
     def fingerprint(self):

@@ -27,22 +27,26 @@ class NbMatrix:
 class NbCentrality:
     """Leading eigenvalue kappa with outgoing (x) and incoming (y) centralities.
 
-    Normalization: the stacked vector (x | x/kappa) has unit 2-norm.
+    Normalization: the stacked vector (x | x/kappa) has unit 2-norm.  The
+    solver diagnostics say how the pair was obtained: ``path`` is "power"
+    (power iteration on M), "dense" (the dense eigensolve fallback) or
+    "unicyclic" (the closed form for E == N); ``iterations`` counts power
+    steps; ``polished`` is whether the quadratic-identity root replaced kappa.
     """
 
     kappa: float
     x: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
     residual: float = 0.0
+    path: str = "power"
+    iterations: int = 0
+    polished: bool = False
 
 
 def directed_edges(g):
     """All 2E directed edges in lexicographic order."""
-    out = []
-    for (u, v) in g.edges:
-        out.append((u, v))
-        out.append((v, u))
-    return tuple(sorted(out))
+    src, dst = g.arcs
+    return tuple(zip(src.tolist(), dst.tolist()))
 
 
 def build_nb_matrix(g):
@@ -75,12 +79,30 @@ def build_m_matrix(g):
     return np.vstack([top, bottom])
 
 
+def _adj_matvec(g, v):
+    """A v from the edge list, O(N + E) with no dense adjacency."""
+    src, dst = g.arcs
+    return np.bincount(src, weights=v[dst], minlength=g.n)
+
+
+def _m_operator(g):
+    """z -> M z for M = [[A, I-D], [I, 0]], without forming M."""
+    n = g.n
+    one_minus_d = 1.0 - g.degrees
+
+    def apply(z):
+        top, bottom = z[:n], z[n:]
+        return np.concatenate([_adj_matvec(g, top) + one_minus_d * bottom, top])
+
+    return apply
+
+
 def _reduced_residual(g, kappa, x):
     """Max-norm residual of (A + (I - D)/kappa - kappa*I) x, scaled to unit x."""
     nrm = float(np.linalg.norm(x))
     if nrm == 0.0 or kappa <= 0.0:
         return np.inf
-    r = g.adjacency @ x + (1.0 - g.degrees) * x / kappa - kappa * x
+    r = _adj_matvec(g, x) + (1.0 - g.degrees) * x / kappa - kappa * x
     return float(np.max(np.abs(r))) / nrm
 
 
@@ -91,22 +113,22 @@ def _polish_kappa(g, x, kappa0):
     the larger root is second-order accurate in the vector error.  That matters
     when the dominant eigenvalue is defective (cycles and other graphs whose
     2-core is a single cycle), where eigensolvers lose half the available
-    digits on the eigenvalue itself.
+    digits on the eigenvalue itself.  Returns (kappa, whether the root was taken).
     """
     qa = float(x @ x)
     if qa <= 0.0:
-        return kappa0
-    qb = float(x @ (g.adjacency @ x))
+        return kappa0, False
+    qb = float(x @ _adj_matvec(g, x))
     qc = float(((g.degrees - 1.0) * x) @ x)
     disc = max(qb * qb - 4.0 * qa * qc, 0.0)
     root = (qb + np.sqrt(disc)) / (2.0 * qa)
     if root <= 0.0:
-        return kappa0
+        return kappa0, False
     # Near a defective (double) root the residual is flat in kappa, so it
     # cannot arbitrate; take the quadratic root unless it is clearly worse.
     if _reduced_residual(g, root, x) > 2.0 * _reduced_residual(g, kappa0, x) + 1e-15:
-        return kappa0
-    return root
+        return kappa0, False
+    return root, True
 
 
 def _stacked_gap(kappa, z, n):
@@ -122,20 +144,24 @@ def _leading_m_pair(g, tol):
     Power iteration on a defective spectrum can return a pseudo-pair with a
     deceptively small residual, or settle into an invariant subspace of a
     smaller eigenvalue.  A true pair has its bottom block equal to the top
-    block divided by kappa; violations force the dense solve.
+    block divided by kappa; violations force the dense solve.  The power
+    iteration runs on the edge-list operator; the dense M is built only for
+    the fallback.  Returns (kappa, z, solver path, power iterations).
     """
-    m = build_m_matrix(g)
     n = g.n
-    pair = leading_eig(m, tol=tol, max_iter=100 * 2 * n, shift=float(g.degrees.max()))
-    kappa, z = pair.value, pair.vector
+    pair = leading_eig(_m_operator(g), tol=tol, max_iter=100 * 2 * n,
+                       shift=float(g.degrees.max()), size=2 * n,
+                       dense=lambda: build_m_matrix(g))
+    kappa, z, path = pair.value, pair.vector, pair.path
     if kappa <= 1e-9 or _stacked_gap(kappa, z, n) > 1e-6:
-        kappa, z, _ = _dense_leading(m)
+        kappa, z, _ = _dense_leading(build_m_matrix(g))
+        path = "dense"
         if kappa <= 1e-9 or _stacked_gap(kappa, z, n) > 1e-4:
             raise ConvergenceFailureError(
                 "leading eigenpair violates the stacked-vector structure",
                 residual=_stacked_gap(kappa, z, n),
             )
-    return kappa, z
+    return kappa, z, path, pair.iterations
 
 
 def _clean_nonnegative(x):
@@ -160,15 +186,19 @@ def _leading_node_pair(g, tol):
     the residual small.  In that case the eigen-equation at kappa = 1 reduces
     to (A - D) x = 0, whose kernel on a connected graph is the constant
     vector, so the exact pair is available in closed form.
+
+    Returns (kappa, x, residual, solver diagnostics for :class:`NbCentrality`).
     """
     n = g.n
     if g.num_edges == n:
         x = np.full(n, 1.0 / np.sqrt(n))
-        return 1.0, x, _reduced_residual(g, 1.0, x)
-    kappa, z = _leading_m_pair(g, tol)
+        solver = {"path": "unicyclic", "iterations": 0, "polished": False}
+        return 1.0, x, _reduced_residual(g, 1.0, x), solver
+    kappa, z, path, iterations = _leading_m_pair(g, tol)
     x = _clean_nonnegative(z[:n])
-    kappa = _polish_kappa(g, x, kappa)
-    return kappa, x, _reduced_residual(g, kappa, x)
+    kappa, polished = _polish_kappa(g, x, kappa)
+    solver = {"path": path, "iterations": iterations, "polished": polished}
+    return kappa, x, _reduced_residual(g, kappa, x), solver
 
 
 def nb_centrality(g, tol=DEFAULT_TOL):
@@ -182,7 +212,7 @@ def nb_centrality(g, tol=DEFAULT_TOL):
         raise NotConnectedError("graph is not connected")
     if flags.is_tree:
         raise TreeGraphError("graph is a tree; non-backtracking eigenvalue is zero")
-    kappa, x, residual = _leading_node_pair(g, tol)
+    kappa, x, residual, solver = _leading_node_pair(g, tol)
     gate = 1e3 * tol * max(1.0, kappa)
     if residual > gate:
         raise ConvergenceFailureError(
@@ -192,7 +222,7 @@ def nb_centrality(g, tol=DEFAULT_TOL):
     scale = np.sqrt(np.sum(x * x) * (1.0 + 1.0 / kappa**2))
     x = x / scale
     y = (g.degrees - 1.0) * x / kappa
-    return NbCentrality(kappa=kappa, x=x, y=y, residual=residual)
+    return NbCentrality(kappa=kappa, x=x, y=y, residual=residual, **solver)
 
 
 def verify_b_vs_m(g, tol=DEFAULT_TOL, max_directed_edges=400):
@@ -208,17 +238,15 @@ def verify_b_vs_m(g, tol=DEFAULT_TOL, max_directed_edges=400):
     pair_b = leading_eig(nb.b, tol=tol, shift=1.0)
     # Summing the edge-vector over outgoing edges gives the node vector, so
     # both sides can be polished through the same quadratic identity.
-    x_b = np.zeros(g.n)
-    for k, (i, _j) in enumerate(nb.edge_index):
-        x_b[i] += pair_b.vector[k]
+    x_b = np.bincount(g.arcs[0], weights=pair_b.vector, minlength=g.n)
     if g.num_edges == g.n:
         # Unicyclic graphs make the eigenvalue a double root of the quadratic
         # identity; the discriminant is then pure noise and the sqrt term in
         # the generic polish amplifies it, so use the noise-free double root.
-        kappa_b = float(x_b @ (g.adjacency @ x_b)) / (2.0 * float(x_b @ x_b))
+        kappa_b = float(x_b @ _adj_matvec(g, x_b)) / (2.0 * float(x_b @ x_b))
     else:
-        kappa_b = _polish_kappa(g, x_b, pair_b.value)
-    kappa_m, _x, _res = _leading_node_pair(g, tol)
+        kappa_b, _ = _polish_kappa(g, x_b, pair_b.value)
+    kappa_m, _x, _res, _solver = _leading_node_pair(g, tol)
     return {
         "kappa_b": kappa_b,
         "kappa_m": kappa_m,

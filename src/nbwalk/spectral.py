@@ -1,4 +1,4 @@
-"""Dense eigensolvers: full symmetric decomposition and leading-eigenpair iteration."""
+"""Eigensolvers: dense symmetric decomposition and leading-eigenpair power iteration."""
 
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ class LeadingEigenpair:
     vector: np.ndarray = field(repr=False)
     residual: float = 0.0
     iterations: int = 0
+    path: str = "power"  # "dense" when the dense fallback produced the pair
 
 
 def sym_eig(m, tol=DEFAULT_TOL):
@@ -74,29 +75,37 @@ def _dense_leading(m):
     return value, vec, residual
 
 
-def leading_eig(m, tol=DEFAULT_TOL, max_iter=None, shift=None):
-    """Leading (largest real) eigenpair of a square matrix by power iteration.
+def leading_eig(m, tol=DEFAULT_TOL, max_iter=None, shift=None, size=None, dense=None):
+    """Leading (largest real) eigenpair of a square operator by power iteration.
 
-    The iteration runs on ``m + shift*I`` so that the target eigenvalue is
-    strictly dominant; the shift is subtracted from the reported value and the
-    residual is computed against the unshifted matrix.  If the iteration does
+    ``m`` is a square matrix or a callable ``v -> M v``.  A callable also
+    needs ``size`` (the dimension), ``shift`` and ``dense``, a thunk building
+    the matrix, which is called only if the dense fallback is needed.
+
+    The iteration runs on ``M + shift*I`` so that the target eigenvalue is
+    strictly dominant; the reported value (a Rayleigh quotient) and the
+    residual are those of the unshifted operator.  If the iteration does
     not reach ``tol`` (e.g. defective or modulus-tied spectra), a dense
     eigensolve fallback is used.  The vector has unit 2-norm and its
     largest-magnitude entry is positive.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidParamsError("leading_eig needs a square matrix")
-    n = m.shape[0]
-    if not np.any(m):
-        raise InvalidParamsError("leading_eig called on a zero matrix")
+    if callable(m):
+        if size is None or shift is None or dense is None:
+            raise InvalidParamsError("a callable operator needs size, shift and dense")
+        apply, n = m, int(size)
+    else:
+        m = np.asarray(m, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise InvalidParamsError("leading_eig needs a square matrix")
+        if not np.any(m):
+            raise InvalidParamsError("leading_eig called on a zero matrix")
+        if shift is None:
+            # Half the max absolute row sum keeps sign-symmetric spectra
+            # (bipartite adjacency) from producing a modulus tie.
+            shift = 0.5 * float(np.max(np.sum(np.abs(m), axis=1)))
+        apply, n = m.__matmul__, m.shape[0]
     if max_iter is None:
         max_iter = 100 * n
-    if shift is None:
-        # Half the max absolute row sum keeps sign-symmetric spectra
-        # (bipartite adjacency) from producing a modulus tie.
-        shift = 0.5 * float(np.max(np.sum(np.abs(m), axis=1)))
-    ms = m + shift * np.eye(n)
     # Deterministic generic start; structured vectors (e.g. all-ones) can be
     # exact non-dominant eigenvectors and freeze the iteration.
     v = np.random.default_rng(0x5EED).random(n) + 0.5
@@ -107,7 +116,7 @@ def leading_eig(m, tol=DEFAULT_TOL, max_iter=None, shift=None):
     check_every = 8
     while it < max_iter:
         for _ in range(check_every):
-            w = ms @ v
+            w = apply(v) + shift * v
             nw = np.linalg.norm(w)
             if nw == 0:
                 # Iterate fell into the nullspace; restart from a basis vector.
@@ -116,12 +125,14 @@ def leading_eig(m, tol=DEFAULT_TOL, max_iter=None, shift=None):
                 nw = 1.0
             v = w / nw
             it += 1
-        w = ms @ v
-        value = float(v @ w) - shift
-        residual = float(np.max(np.abs(m @ v - value * v)))
+        mv = apply(v)
+        value = float(v @ mv)
+        residual = float(np.max(np.abs(mv - value * v)))
         if residual <= tol * max(1.0, abs(value)):
             break
+    path = "power"
     if residual > tol * max(1.0, abs(value)):
-        value, v, residual = _dense_leading(m)
+        value, v, residual = _dense_leading(dense() if callable(m) else m)
+        path = "dense"
     v = _sign_fix(v)
-    return LeadingEigenpair(value=value, vector=v, residual=residual, iterations=it)
+    return LeadingEigenpair(value=value, vector=v, residual=residual, iterations=it, path=path)

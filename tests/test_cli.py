@@ -45,6 +45,9 @@ def test_centrality_rose(tmp_path, capsys):
     assert len(out["x"]) == 7
     assert out["degrees"][0] == 4
     assert len(out["eigenvector_centrality"]) == 7
+    assert out["solver"]["path"] == "power"
+    assert out["solver"]["iterations"] > 0
+    assert isinstance(out["solver"]["polished"], bool)
     assert out["manifest"]["command"] == "centrality"
     assert out["manifest"]["input_digest"]
 
@@ -271,12 +274,13 @@ def test_simulate_hitting_small(tmp_path, capsys):
 
 
 def test_rerun_determinism_modulo_timing(tmp_path, capsys):
-    argv = ["stationary", rose2_file(tmp_path), "--walk", "all", "--check"]
-    a = run_json(capsys, argv)
-    b = run_json(capsys, argv)
-    a["manifest"].pop("timing_s")
-    b["manifest"].pop("timing_s")
-    assert a == b
+    path = rose2_file(tmp_path)
+    for argv in (["stationary", path, "--walk", "all", "--check"], ["centrality", path]):
+        a = run_json(capsys, argv)
+        b = run_json(capsys, argv)
+        a["manifest"].pop("timing_s")
+        b["manifest"].pop("timing_s")
+        assert a == b
 
 
 def test_threads_flag_does_not_change_numbers(tmp_path, capsys):

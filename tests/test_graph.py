@@ -100,6 +100,21 @@ def test_degree_sum_is_twice_edge_count():
         assert g.degrees.sum() == 2 * g.num_edges
 
 
+def test_arcs_and_degrees_match_loop_reference_and_are_cached_read_only(corpus):
+    for name, g in corpus + [("isolated", Graph(n=1, edges=()))]:
+        pairs = sorted([(u, v) for (u, v) in g.edges] + [(v, u) for (u, v) in g.edges])
+        src, dst = g.arcs
+        assert list(zip(src.tolist(), dst.tolist())) == pairs, name
+        degrees = np.zeros(g.n, dtype=np.int64)
+        for (u, v) in g.edges:
+            degrees[u] += 1
+            degrees[v] += 1
+        assert np.array_equal(g.degrees, degrees), name
+        assert np.array_equal(g.adjacency.sum(axis=1), degrees), name
+        assert g.degrees is g.degrees and g.arcs is g.arcs
+        assert not any(arr.flags.writeable for arr in (src, dst, g.degrees)), name
+
+
 def test_laplacian_triangle_spectrum():
     evals = np.linalg.eigvalsh(laplacian(complete_graph(3)))
     assert np.allclose(evals, [0.0, 3.0, 3.0], atol=1e-12)

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nbwalk import (
     Graph, InvalidParamsError, NotConnectedError, RoseSpec, TreeGraphError,
-    build_m_matrix, build_nb_matrix, gen_er, leading_eig, make_rose, nb_centrality,
+    build_m_matrix, build_nb_matrix, gen_ba, gen_er, leading_eig, make_rose, nb_centrality,
     rose4_oracle, verify_b_vs_m,
 )
+from nbwalk.nbcentrality import _leading_node_pair, _m_operator
 
 from conftest import complete_graph, cycle_graph
 
@@ -65,6 +68,46 @@ def test_m_matrix_triangle_blocks():
 def test_m_matrix_complete_four():
     pair = leading_eig(build_m_matrix(complete_graph(4)), shift=3.0)
     assert pair.value == pytest.approx(2.0, abs=1e-10)
+
+
+def test_m_operator_matches_dense_m(corpus):
+    rng = np.random.default_rng(11)
+    roses = [(f"rose-m{m}", make_rose(RoseSpec(m=m))) for m in (10, 40)]
+    for name, g in corpus + roses:
+        op = _m_operator(g)
+        m = build_m_matrix(g)
+        for _ in range(3):
+            z = rng.standard_normal(2 * g.n)
+            expected = m @ z
+            assert np.max(np.abs(op(z) - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected))), name
+
+
+def test_solver_diagnostics():
+    power = nb_centrality(make_rose(RoseSpec(m=3)))
+    assert power.path == "power" and power.iterations > 0
+    polished = nb_centrality(gen_ba(50, 2, 3))
+    assert polished.path == "power" and polished.polished
+    unicyclic = nb_centrality(cycle_graph(6))
+    assert (unicyclic.path, unicyclic.iterations, unicyclic.polished) == ("unicyclic", 0, False)
+    # A tolerance below rounding level exhausts the power iteration.
+    g = complete_graph(4)
+    kappa, _x, _res, solver = _leading_node_pair(g, 1e-18)
+    assert kappa == pytest.approx(2.0, abs=1e-12)
+    assert solver["path"] == "dense" and solver["iterations"] == 100 * 2 * g.n
+
+
+def test_centrality_memory_is_linear_in_edges():
+    # The dense M of BA(20000, 2) would take 12.8 GB; the operator path
+    # needs a few arrays of length 2N and 2E.
+    g = gen_ba(20000, 2, 1)
+    tracemalloc.start()
+    try:
+        nc = nb_centrality(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nc.path == "power"
+    assert peak < 32 * 2**20
 
 
 def test_tree_graph_gate():

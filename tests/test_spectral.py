@@ -106,6 +106,41 @@ def test_leading_eig_defective_dominant_eigenvalue():
     assert pair.value == pytest.approx(1.0, abs=1e-8)
 
 
+def test_leading_eig_operator_form_reaches_dense_fallback():
+    # Same defective case through a callable: the dense thunk is built once,
+    # for the fallback only.
+    m = build_m_matrix(cycle_graph(6))
+    built = []
+
+    def dense():
+        built.append(True)
+        return m
+
+    pair = leading_eig(lambda v: m @ v, shift=2.0, size=m.shape[0], dense=dense)
+    assert pair.value == pytest.approx(1.0, abs=1e-8)
+    assert pair.path == "dense" and built == [True]
+    assert pair.iterations == 100 * m.shape[0]
+
+
+def test_leading_eig_operator_form_matches_matrix_form():
+    m = build_m_matrix(make_rose(RoseSpec(m=2)))
+    a = leading_eig(m, shift=4.0)
+    b = leading_eig(lambda v: m @ v, shift=4.0, size=m.shape[0], dense=lambda: m)
+    assert a.path == b.path == "power"
+    assert a.iterations == b.iterations
+    assert a.value == b.value
+    assert a.vector.tobytes() == b.vector.tobytes()
+
+
+@pytest.mark.parametrize("missing", ["size", "shift", "dense"])
+def test_leading_eig_operator_needs_size_shift_and_dense(missing):
+    m = build_m_matrix(star_with_chord(7))
+    kwargs = {"size": m.shape[0], "shift": 3.0, "dense": lambda: m}
+    del kwargs[missing]
+    with pytest.raises(InvalidParamsError):
+        leading_eig(lambda v: m @ v, **kwargs)
+
+
 def test_leading_eig_rejects_zero_matrix():
     with pytest.raises(InvalidParamsError):
         leading_eig(np.zeros((3, 3)))
