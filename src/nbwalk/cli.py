@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Subcommands: centrality, stationary, hitting, generate, rose-oracle, compare,
-scaling, simulate.  Global flags can also be set through environment variables
-with the ``NBWALK_`` prefix (e.g. ``NBWALK_TOL``).
+scaling, simulate.  Global flags go before the subcommand.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ import argparse
 import hashlib
 import itertools
 import json
-import os
 import sys
 import time
 
@@ -31,13 +29,6 @@ from .walks import (
     stationary_generic, transition,
 )
 
-ENV_PREFIX = "NBWALK_"
-
-
-def _env(name, default):
-    return os.environ.get(ENV_PREFIX + name, default)
-
-
 def _fmt(x):
     """Round-trip-exact text for a float."""
     return format(float(x), ".17g")
@@ -47,13 +38,19 @@ def _listify(arr):
     return [float(v) for v in np.asarray(arr).ravel()]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ``invalid_params`` instead of printing usage and exiting 2."""
+
+    def error(self, message):
+        raise InvalidParamsError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="nbwalk", description=__doc__)
-    parser.add_argument("--tol", type=float, default=float(_env("TOL", "1e-12")))
-    parser.add_argument("--threads", type=int, default=int(_env("THREADS", "1")),
+    parser = _Parser(prog="nbwalk", description=__doc__)
+    parser.add_argument("--threads", type=int, default=1,
                         help="accepted for interface stability; results are thread-independent")
-    parser.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
-    parser.add_argument("--format", choices=["json", "csv"], default=_env("FORMAT", "json"))
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("-o", "--output", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -117,8 +114,11 @@ def build_parser():
 
 
 def _load_graph(args):
-    with open(args.graph_file, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(args.graph_file, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ParseError(str(exc))
     try:
         text = raw.decode()
     except UnicodeDecodeError as exc:
@@ -142,8 +142,8 @@ def _walk_kinds(value):
 
 def cmd_centrality(args):
     g, digest = _load_graph(args)
-    nc = nb_centrality(g, tol=args.tol)
-    _, psi1 = adjacency_leading_eigvec(g, tol=args.tol)
+    nc = nb_centrality(g)
+    _, psi1 = adjacency_leading_eigvec(g)
     return {
         "kappa": nc.kappa,
         "x": _listify(nc.x),
@@ -156,7 +156,7 @@ def cmd_centrality(args):
 
 
 def _stationary_entry(kind, g, args):
-    walk = reversible_walk(kind, g, tol=args.tol)
+    walk = reversible_walk(kind, g)
     sd = walk.stationary()
     entry = {
         "kind": kind.value,
@@ -166,7 +166,7 @@ def _stationary_entry(kind, g, args):
     }
     if args.check:
         p = walk.transition()
-        generic = stationary_generic(p, tol=args.tol)
+        generic = stationary_generic(p)
         entry["check"] = {
             "closed_vs_linear_max_gap": float(np.max(np.abs(sd.pi - generic.pi))),
             "detailed_balance_residual": detailed_balance_residual(sd.pi, p),
@@ -192,9 +192,9 @@ def cmd_hitting(args):
         entry = {"kind": kind.value, "method": args.method}
         spectral = linear = None
         if args.method in ("spectral", "both"):
-            spectral = hitting_spectral(kind, g, tol=args.tol)
+            spectral = hitting_spectral(kind, g)
         if args.method in ("linear", "both"):
-            linear = hitting_linear(transition(kind, g, tol=args.tol))
+            linear = hitting_linear(transition(kind, g))
         main = spectral if spectral is not None else linear
         entry["t_global"] = main.t_global
         entry["t_partial"] = _listify(main.t_partial)
@@ -213,7 +213,7 @@ def cmd_hitting(args):
                 node = _node_index(g, tgt)
                 entry[f"t_partial_{g.labels[node]}"] = float(main.t_partial[node])
         if kind is WalkKind.NBCRW and args.verbatim_eq26:
-            audit = eq26_audit(g, tol=args.tol)
+            audit = eq26_audit(g)
             entry["eq26_audit"] = {
                 "t_verbatim": [_listify(r) for r in audit["t_verbatim"]],
                 "t_consistent": [_listify(r) for r in audit["t_consistent"]],
@@ -229,29 +229,22 @@ def cmd_hitting(args):
     return {"reports": reports}, digest, rows
 
 
+# Per model: the parameters it reads (also its header fields) and its generator.
+GENERATORS = {
+    "rose": (("m", "l"), lambda a: make_rose(RoseSpec(m=a.m, l=a.l))),
+    "er": (("n", "p"), lambda a: gen_er(a.n, a.p, a.seed)),
+    "ba": (("n", "m_attach"), lambda a: gen_ba(a.n, a.m_attach, a.seed)),
+    "ws": (("n", "k", "beta"), lambda a: gen_ws(a.n, a.k, a.beta, a.seed)),
+}
+
+
 def _generate_graph(args):
-    model = args.model
-    if model == "rose":
-        if args.m is None:
-            raise InvalidParamsError("rose model needs --m")
-        g = make_rose(RoseSpec(m=args.m, l=args.l))
-        params = {"m": args.m, "l": args.l}
-    elif model == "er":
-        if args.n is None or args.p is None:
-            raise InvalidParamsError("er model needs --n and --p")
-        g = gen_er(args.n, args.p, args.seed)
-        params = {"n": args.n, "p": args.p}
-    elif model == "ba":
-        if args.n is None or args.m_attach is None:
-            raise InvalidParamsError("ba model needs --n and --m-attach")
-        g = gen_ba(args.n, args.m_attach, args.seed)
-        params = {"n": args.n, "m_attach": args.m_attach}
-    else:
-        if args.n is None or args.k is None or args.beta is None:
-            raise InvalidParamsError("ws model needs --n, --k and --beta")
-        g = gen_ws(args.n, args.k, args.beta, args.seed)
-        params = {"n": args.n, "k": args.k, "beta": args.beta}
-    return g, params
+    names, make = GENERATORS[args.model]
+    params = {name: getattr(args, name) for name in names}
+    missing = ["--" + name.replace("_", "-") for name, value in params.items() if value is None]
+    if missing:
+        raise InvalidParamsError(f"{args.model} model needs {', '.join(missing)}")
+    return make(args), params
 
 
 def cmd_generate(args):
@@ -294,9 +287,9 @@ def cmd_compare(args):
     rows = [["kind", "n", "ipr", "pi_hub", "t_hub", "t_global", "method"]]
     entries = []
     for kind in WalkKind:
-        walk = reversible_walk(kind, g, tol=args.tol)
+        walk = reversible_walk(kind, g)
         sd = walk.stationary()
-        report = walk_hitting(walk, tol=args.tol)
+        report = walk_hitting(walk)
         entry = {
             "kind": kind.value,
             "n": g.n,
@@ -319,6 +312,8 @@ def cmd_scaling(args):
         raise InvalidParamsError(f"bad --m-range {args.m_range!r}; expected LO:HI")
     if not (2 <= lo < hi):
         raise InvalidParamsError("m range must satisfy 2 <= LO < HI")
+    if args.points < 2:
+        raise InvalidParamsError(f"--points must be >= 2 to fit a slope, got {args.points}")
     ms = np.unique(np.geomspace(lo, hi, num=args.points).astype(int))
     rows_data = scaling_table(args.kind, ms.tolist())
     slope = loglog_slope(rows_data)
@@ -332,7 +327,7 @@ def cmd_scaling(args):
 
 def cmd_simulate(args):
     g, digest = _load_graph(args)
-    p = transition(args.walk, g, tol=args.tol)
+    p = transition(args.walk, g)
     cfg = SimConfig(seed=args.seed, trials=args.trials, max_steps=args.max_steps,
                     burn_in=args.burn_in)
     if args.mode == "stationary":
@@ -395,26 +390,25 @@ def _write_output(args, payload, rows, manifest):
         encoder = json.JSONEncoder(indent=2, sort_keys=True)
         text = itertools.chain(encoder.iterencode(payload), ("\n",))
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.writelines(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.writelines(text)
+        except OSError as exc:
+            raise InvalidParamsError(f"cannot write --output {args.output!r}: {exc.strerror}")
     else:
         sys.stdout.writelines(text)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    start = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        start = time.perf_counter()
         payload, digest, rows = COMMANDS[args.command](args)
+        elapsed = time.perf_counter() - start
+        _write_output(args, payload, rows, _manifest(args, digest, elapsed))
     except NbwalkError as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "message": str(exc)}) + "\n")
         return exc.exit_code
-    except OSError as exc:
-        sys.stderr.write(json.dumps({"error": "parse_error", "message": str(exc)}) + "\n")
-        return 1
-    elapsed = time.perf_counter() - start
-    _write_output(args, payload, rows, _manifest(args, digest, elapsed))
     return 0
 
 

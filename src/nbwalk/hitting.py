@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import InvalidParamsError, NotConnectedError
 from .nbcentrality import nb_centrality  # noqa: F401  -- benchmarks/tests/test_tracer.py expects it
-from .spectral import DEFAULT_TOL, sym_eig
+from .spectral import sym_eig
 from .walks import WalkKind, adjacency_leading_eigvec, reversible_walk, transition
 
 
@@ -48,10 +48,10 @@ def hitting_linear(p):
     return HittingReport(kind=p.kind, t=t, t_partial=t_partial, t_global=t_global, method="linear_solve")
 
 
-def hitting_merw_adjacency(g, tol=DEFAULT_TOL):
+def hitting_merw_adjacency(g):
     """Oracle: maximal-entropy-walk hitting times from the adjacency spectrum."""
-    lam1, psi1 = adjacency_leading_eigvec(g, tol)
-    dec = sym_eig(g.adjacency, tol=tol)
+    lam1, psi1 = adjacency_leading_eigvec(g)
+    dec = sym_eig(g.adjacency)
     n = g.n
     lams = dec.eigenvalues[:-1]
     psis = dec.eigenvectors[:, :-1]
@@ -68,13 +68,13 @@ def hitting_merw_adjacency(g, tol=DEFAULT_TOL):
     return HittingReport(kind=WalkKind.MERW, t=t, t_partial=t_partial, t_global=t_global, method="spectral")
 
 
-def walk_hitting(walk, tol=DEFAULT_TOL):
+def walk_hitting(walk):
     """Hitting times of a reversible walk from the spectrum of its weighted Laplacian.
 
     Consumes ``walk.w``, over which the Laplacian is built.  The strengths
     ``s`` take the place of the degrees, and their sum the place of 2E.
     """
-    dec = sym_eig(walk.laplacian(), tol=tol)
+    dec = sym_eig(walk.laplacian())
     evals, evecs = dec.eigenvalues, dec.eigenvectors
     n = evecs.shape[0]
     sigma = evals[1:]
@@ -95,9 +95,9 @@ def walk_hitting(walk, tol=DEFAULT_TOL):
     return HittingReport(kind=walk.kind, t=t, t_partial=t_partial, t_global=t_global)
 
 
-def hitting_spectral(kind, g, tol=DEFAULT_TOL):
+def hitting_spectral(kind, g):
     """Pairwise, partial and global mean hitting times of any walk kind."""
-    return walk_hitting(reversible_walk(kind, g, tol), tol)
+    return walk_hitting(reversible_walk(kind, g))
 
 
 def hub_node(g):
@@ -105,23 +105,23 @@ def hub_node(g):
     return int(np.argmax(g.degrees))
 
 
-def hub_report(g, kind, tol=DEFAULT_TOL):
+def hub_report(g, kind):
     """Partial mean hitting time at the max-degree node."""
-    report = hitting_spectral(kind, g, tol)
+    report = hitting_spectral(kind, g)
     hub = hub_node(g)
     return {"hub_node": hub, "t_hub": float(report.t_partial[hub])}
 
 
-def eq26_audit(g, tol=DEFAULT_TOL):
+def eq26_audit(g):
     """Document the pairwise-formula prefactor discrepancy on a concrete graph.
 
     Returns both evaluations of the pairwise hitting-time formula (with and
     without the printed 1/2), the partial/global values, and the linear-solve
     oracle, so the disagreement of the verbatim form is visible in one report.
     """
-    consistent = hitting_spectral(WalkKind.NBCRW, g, tol=tol)
+    consistent = hitting_spectral(WalkKind.NBCRW, g)
     t_verbatim = 0.5 * consistent.t
-    linear = hitting_linear(transition(WalkKind.NBCRW, g, tol=tol))
+    linear = hitting_linear(transition(WalkKind.NBCRW, g))
     gap_consistent = float(np.max(np.abs(consistent.t - linear.t)))
     gap_verbatim = float(np.max(np.abs(t_verbatim - linear.t)))
     return {

@@ -8,7 +8,10 @@ import numpy as np
 
 from .errors import ConvergenceFailureError, InvalidParamsError, NotConnectedError, TreeGraphError
 from .graph import validate
-from .spectral import DEFAULT_TOL, _dense_leading, leading_eig
+from .spectral import TOL, _dense_leading, leading_eig
+
+# The explicit B takes (2E)^2 doubles, so verify_b_vs_m refuses larger graphs.
+MAX_DIRECTED_EDGES = 400
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +141,7 @@ def _stacked_gap(kappa, z, n):
     return float(np.max(np.abs(kappa * z[n:] - z[:n])))
 
 
-def _leading_m_pair(g, tol):
+def _leading_m_pair(g):
     """Leading eigenpair of the M matrix with a structural validity check.
 
     Power iteration on a defective spectrum can return a pseudo-pair with a
@@ -149,8 +152,7 @@ def _leading_m_pair(g, tol):
     the fallback.  Returns (kappa, z, solver path, power iterations).
     """
     n = g.n
-    pair = leading_eig(_m_operator(g), tol=tol, max_iter=100 * 2 * n,
-                       shift=float(g.degrees.max()), size=2 * n,
+    pair = leading_eig(_m_operator(g), shift=float(g.degrees.max()), size=2 * n,
                        dense=lambda: build_m_matrix(g))
     kappa, z, path = pair.value, pair.vector, pair.path
     if kappa <= 1e-9 or _stacked_gap(kappa, z, n) > 1e-6:
@@ -176,7 +178,7 @@ def _clean_nonnegative(x):
     return np.maximum(x, 0.0)
 
 
-def _leading_node_pair(g, tol):
+def _leading_node_pair(g):
     """Kappa and cleaned node vector from M, robust to defective spectra.
 
     A connected non-tree graph has exactly one cycle iff E == N, and then the
@@ -194,14 +196,14 @@ def _leading_node_pair(g, tol):
         x = np.full(n, 1.0 / np.sqrt(n))
         solver = {"path": "unicyclic", "iterations": 0, "polished": False}
         return 1.0, x, _reduced_residual(g, 1.0, x), solver
-    kappa, z, path, iterations = _leading_m_pair(g, tol)
+    kappa, z, path, iterations = _leading_m_pair(g)
     x = _clean_nonnegative(z[:n])
     kappa, polished = _polish_kappa(g, x, kappa)
     solver = {"path": path, "iterations": iterations, "polished": polished}
     return kappa, x, _reduced_residual(g, kappa, x), solver
 
 
-def nb_centrality(g, tol=DEFAULT_TOL):
+def nb_centrality(g):
     """Kappa and centralities via the leading eigenpair of the M matrix.
 
     Requires a connected non-tree graph; otherwise kappa would be zero and
@@ -212,11 +214,11 @@ def nb_centrality(g, tol=DEFAULT_TOL):
         raise NotConnectedError("graph is not connected")
     if flags.is_tree:
         raise TreeGraphError("graph is a tree; non-backtracking eigenvalue is zero")
-    kappa, x, residual, solver = _leading_node_pair(g, tol)
-    gate = 1e3 * tol * max(1.0, kappa)
+    kappa, x, residual, solver = _leading_node_pair(g)
+    gate = 1e3 * TOL * max(1.0, kappa)
     if residual > gate:
         raise ConvergenceFailureError(
-            f"reduced eigen-equation residual {residual:.3e} exceeds tol", residual=residual
+            f"reduced eigen-equation residual {residual:.3e} exceeds {gate:.1e}", residual=residual
         )
     # Unit norm of the stacked (x | x/kappa) vector.
     scale = np.sqrt(np.sum(x * x) * (1.0 + 1.0 / kappa**2))
@@ -225,17 +227,17 @@ def nb_centrality(g, tol=DEFAULT_TOL):
     return NbCentrality(kappa=kappa, x=x, y=y, residual=residual, **solver)
 
 
-def verify_b_vs_m(g, tol=DEFAULT_TOL, max_directed_edges=400):
+def verify_b_vs_m(g):
     """Cross-check: leading eigenvalue of explicit B vs the M reduction.
 
-    The explicit-B side is quadratic in 2E memory, so a cap guards it.
+    The explicit-B side is quadratic in 2E memory, so ``MAX_DIRECTED_EDGES`` caps it.
     """
-    if 2 * g.num_edges > max_directed_edges:
+    if 2 * g.num_edges > MAX_DIRECTED_EDGES:
         raise InvalidParamsError(
-            f"2E = {2 * g.num_edges} exceeds cap {max_directed_edges} for explicit B"
+            f"2E = {2 * g.num_edges} exceeds cap {MAX_DIRECTED_EDGES} for explicit B"
         )
     nb = build_nb_matrix(g)
-    pair_b = leading_eig(nb.b, tol=tol, shift=1.0)
+    pair_b = leading_eig(nb.b, shift=1.0)
     # Summing the edge-vector over outgoing edges gives the node vector, so
     # both sides can be polished through the same quadratic identity.
     x_b = np.bincount(g.arcs[0], weights=pair_b.vector, minlength=g.n)
@@ -246,7 +248,7 @@ def verify_b_vs_m(g, tol=DEFAULT_TOL, max_directed_edges=400):
         kappa_b = float(x_b @ _adj_matvec(g, x_b)) / (2.0 * float(x_b @ x_b))
     else:
         kappa_b, _ = _polish_kappa(g, x_b, pair_b.value)
-    kappa_m, _x, _res, _solver = _leading_node_pair(g, tol)
+    kappa_m, _x, _res, _solver = _leading_node_pair(g)
     return {
         "kappa_b": kappa_b,
         "kappa_m": kappa_m,

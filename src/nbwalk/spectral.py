@@ -8,7 +8,8 @@ import numpy as np
 
 from .errors import InvalidParamsError
 
-DEFAULT_TOL = 1e-12
+# Convergence and symmetry tolerance, relative to the magnitude of the result.
+TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,17 +29,17 @@ class LeadingEigenpair:
     path: str = "power"  # "dense" when the dense fallback produced the pair
 
 
-def sym_eig(m, tol=DEFAULT_TOL):
+def sym_eig(m):
     """Full eigendecomposition of a symmetric matrix.
 
-    Raises if the input deviates from symmetry by more than ``tol`` relative
+    Raises if the input deviates from symmetry by more than ``TOL`` relative
     to its magnitude.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParamsError("sym_eig needs a square matrix")
     scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    if float(np.max(np.abs(m - m.T))) > tol * scale:
+    if float(np.max(np.abs(m - m.T))) > TOL * scale:
         raise InvalidParamsError("matrix is not symmetric within tolerance")
     evals, evecs = np.linalg.eigh(0.5 * (m + m.T))
     return SpectralDecomposition(eigenvalues=evals, eigenvectors=evecs)
@@ -75,7 +76,7 @@ def _dense_leading(m):
     return value, vec, residual
 
 
-def leading_eig(m, tol=DEFAULT_TOL, max_iter=None, shift=None, size=None, dense=None):
+def leading_eig(m, shift=None, size=None, dense=None):
     """Leading (largest real) eigenpair of a square operator by power iteration.
 
     ``m`` is a square matrix or a callable ``v -> M v``.  A callable also
@@ -85,9 +86,9 @@ def leading_eig(m, tol=DEFAULT_TOL, max_iter=None, shift=None, size=None, dense=
     The iteration runs on ``M + shift*I`` so that the target eigenvalue is
     strictly dominant; the reported value (a Rayleigh quotient) and the
     residual are those of the unshifted operator.  If the iteration does
-    not reach ``tol`` (e.g. defective or modulus-tied spectra), a dense
-    eigensolve fallback is used.  The vector has unit 2-norm and its
-    largest-magnitude entry is positive.
+    not reach ``TOL`` within 100 steps per dimension (e.g. defective or
+    modulus-tied spectra), a dense eigensolve fallback is used.  The vector
+    has unit 2-norm and its largest-magnitude entry is positive.
     """
     if callable(m):
         if size is None or shift is None or dense is None:
@@ -104,8 +105,6 @@ def leading_eig(m, tol=DEFAULT_TOL, max_iter=None, shift=None, size=None, dense=
             # (bipartite adjacency) from producing a modulus tie.
             shift = 0.5 * float(np.max(np.sum(np.abs(m), axis=1)))
         apply, n = m.__matmul__, m.shape[0]
-    if max_iter is None:
-        max_iter = 100 * n
     # Deterministic generic start; structured vectors (e.g. all-ones) can be
     # exact non-dominant eigenvectors and freeze the iteration.
     v = np.random.default_rng(0x5EED).random(n) + 0.5
@@ -114,7 +113,7 @@ def leading_eig(m, tol=DEFAULT_TOL, max_iter=None, shift=None, size=None, dense=
     residual = np.inf
     it = 0
     check_every = 8
-    while it < max_iter:
+    while it < 100 * n:
         for _ in range(check_every):
             w = apply(v) + shift * v
             nw = np.linalg.norm(w)
@@ -128,10 +127,10 @@ def leading_eig(m, tol=DEFAULT_TOL, max_iter=None, shift=None, size=None, dense=
         mv = apply(v)
         value = float(v @ mv)
         residual = float(np.max(np.abs(mv - value * v)))
-        if residual <= tol * max(1.0, abs(value)):
+        if residual <= TOL * max(1.0, abs(value)):
             break
     path = "power"
-    if residual > tol * max(1.0, abs(value)):
+    if residual > TOL * max(1.0, abs(value)):
         value, v, residual = _dense_leading(dense() if callable(m) else m)
         path = "dense"
     v = _sign_fix(v)

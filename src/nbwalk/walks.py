@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InvalidParamsError, NotConnectedError, ZeroDenominatorError
 from .graph import validate
 from .nbcentrality import nb_centrality
-from .spectral import DEFAULT_TOL, _sign_fix, sym_eig
+from .spectral import _sign_fix, sym_eig
 
 
 class WalkKind(str, enum.Enum):
@@ -73,15 +73,15 @@ class ReversibleWalk:
         return lap
 
 
-def adjacency_leading_eigvec(g, tol=DEFAULT_TOL):
+def adjacency_leading_eigvec(g):
     """Leading eigenvalue and positive unit eigenvector of the adjacency matrix."""
     if not validate(g).connected:
         raise NotConnectedError("graph is not connected")
-    dec = sym_eig(g.adjacency, tol=tol)
+    dec = sym_eig(g.adjacency)
     return float(dec.eigenvalues[-1]), _sign_fix(dec.eigenvectors[:, -1])
 
 
-def potential(kind, g, tol=DEFAULT_TOL):
+def potential(kind, g):
     """Node potential x of a walk kind: 1, adjacency eigenvector psi_1 or NB centrality."""
     kind = WalkKind(kind)
     if kind is WalkKind.TURW:
@@ -89,26 +89,26 @@ def potential(kind, g, tol=DEFAULT_TOL):
             raise NotConnectedError("graph is not connected")
         return np.ones(g.n)
     if kind is WalkKind.MERW:
-        return adjacency_leading_eigvec(g, tol)[1]
-    return nb_centrality(g, tol=tol).x
+        return adjacency_leading_eigvec(g)[1]
+    return nb_centrality(g).x
 
 
-def reversible_walk(kind, g, tol=DEFAULT_TOL):
+def reversible_walk(kind, g):
     """The walk of ``kind`` on ``g``, keyed by its node potential."""
-    return ReversibleWalk(kind, g, potential(kind, g, tol))
+    return ReversibleWalk(kind, g, potential(kind, g))
 
 
-def transition(kind, g, tol=DEFAULT_TOL):
+def transition(kind, g):
     """Transition matrix p_ij = w_ij / s_i."""
-    return reversible_walk(kind, g, tol).transition()
+    return reversible_walk(kind, g).transition()
 
 
-def stationary_closed(kind, g, tol=DEFAULT_TOL):
+def stationary_closed(kind, g):
     """Closed-form stationary distribution pi = s / sum(s)."""
-    return reversible_walk(kind, g, tol).stationary()
+    return reversible_walk(kind, g).stationary()
 
 
-def stationary_generic(p, tol=DEFAULT_TOL):
+def stationary_generic(p):
     """Oracle: solve pi P = pi with the normalization row appended."""
     mat = p.p
     n = mat.shape[0]
@@ -124,12 +124,12 @@ def stationary_generic(p, tol=DEFAULT_TOL):
     return StationaryDistribution(kind=p.kind, pi=pi, method="linear_solve")
 
 
-def stationary_nbcrw_formula(g, tol=DEFAULT_TOL):
+def stationary_nbcrw_formula(g):
     """Oracle: the paper's NBCRW closed form pi ∝ ((kappa^2 - 1)/kappa + d/kappa) x^2.
 
     It agrees with s / sum(s) up to the residual of the centrality eigenpair.
     """
-    nc = nb_centrality(g, tol=tol)
+    nc = nb_centrality(g)
     kappa = nc.kappa
     weights = ((kappa**2 - 1.0) / kappa + g.degrees / kappa) * nc.x**2
     q = weights.sum()

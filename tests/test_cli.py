@@ -290,12 +290,72 @@ def test_threads_flag_does_not_change_numbers(tmp_path, capsys):
     assert a["reports"] == b["reports"]
 
 
-def test_env_override_for_format(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NBWALK_FORMAT", "csv")
-    code = main(["stationary", k3_file(tmp_path), "--walk", "turw"])
+# Every malformed invocation: argv (with graph-file placeholders), exit code, error code.
+MALFORMED = {
+    "usage-unknown-flag": (["centrality", "{rose}", "--bogus"], 6, "invalid_params"),
+    "usage-no-command": ([], 6, "invalid_params"),
+    "usage-bad-choice": (["stationary", "{rose}", "--walk", "foo"], 6, "invalid_params"),
+    "usage-non-integer-seed": (["--seed", "x", "centrality", "{rose}"], 6, "invalid_params"),
+    "usage-global-flag-after-command": (["centrality", "{rose}", "--seed", "1"], 6,
+                                        "invalid_params"),
+    "scaling-points-0": (["scaling", "--kind", "turw", "--points", "0"], 6, "invalid_params"),
+    "scaling-points-negative": (["scaling", "--kind", "turw", "--points", "-3"], 6,
+                                "invalid_params"),
+    "scaling-points-1": (["scaling", "--kind", "turw", "--points", "1"], 6, "invalid_params"),
+    "scaling-bad-m-range": (["scaling", "--kind", "turw", "--m-range", "bogus"], 6,
+                            "invalid_params"),
+    "output-missing-directory": (["-o", "{unwritable}", "centrality", "{rose}"], 6,
+                                 "invalid_params"),
+    "missing-file": (["centrality", "{absent}"], 1, "parse_error"),
+    "directory-as-input": (["centrality", "{dir}"], 1, "parse_error"),
+    "non-utf8-input": (["centrality", "{latin1}"], 1, "parse_error"),
+    "bad-node-id-hitting": (["hitting", "{rose}", "--target", "7"], 6, "invalid_params"),
+    "bad-node-id-simulate": (["simulate", "{rose}", "--walk", "turw", "--mode", "hitting",
+                              "--source", "abc", "--target", "1"], 6, "invalid_params"),
+    "generate-missing-params": (["generate", "--model", "er", "--n", "10"], 6, "invalid_params"),
+    "tree": (["centrality", "{tree}"], 2, "tree_graph"),
+    "disconnected": (["centrality", "{two}"], 3, "not_connected"),
+    "simulate-trials-0": (["simulate", "{k3}", "--walk", "turw", "--mode", "stationary",
+                           "--trials", "0"], 6, "invalid_params"),
+    "simulate-burn-in-negative": (["simulate", "{k3}", "--walk", "turw", "--mode", "stationary",
+                                   "--burn-in", "-1"], 6, "invalid_params"),
+    "simulate-max-steps-5": (["simulate", "{k3}", "--walk", "turw", "--mode", "stationary",
+                              "--max-steps", "5"], 6, "invalid_params"),
+}
+
+
+@pytest.mark.parametrize("argv,exit_code,error", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_invocation_is_one_json_error(tmp_path, capsys, argv, exit_code, error):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"0 1\n1 2\n2 0 # caf\xe9\n")
+    files = {
+        "rose": rose2_file(tmp_path),
+        "k3": k3_file(tmp_path),
+        "tree": write_graph(tmp_path, "p3.txt", "0 1\n1 2\n"),
+        "two": write_graph(tmp_path, "two.txt", "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n"),
+        "latin1": str(latin1),
+        "dir": str(tmp_path),
+        "absent": str(tmp_path / "absent.txt"),
+        "unwritable": str(tmp_path / "no-such-dir" / "out.json"),
+    }
+    code = main([arg.format(**files) for arg in argv])
     captured = capsys.readouterr()
-    assert code == 0
-    assert captured.out.startswith("# manifest:")
+    assert code == exit_code, captured.err
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    err = json.loads(lines[0])
+    assert set(err) == {"error", "message"} and err["message"]
+    assert err["error"] == error
+
+
+def test_help_exits_zero_and_lists_no_tolerance(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--threads" in out and "--tol" not in out
 
 
 def test_numeric_round_trip_precision(tmp_path, capsys):

@@ -12,13 +12,36 @@ from nbwalk import (
     build_m_matrix, build_nb_matrix, gen_ba, gen_er, leading_eig, make_rose, nb_centrality,
     rose4_oracle, verify_b_vs_m,
 )
-from nbwalk.nbcentrality import _leading_node_pair, _m_operator
+from nbwalk.nbcentrality import _m_operator
 
 from conftest import complete_graph, cycle_graph
 
 
 def path_graph(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def ring_with_chord(n):
+    """Ring on n nodes (n even) plus the chord (0, n/2).
+
+    That is a theta graph: two branch nodes joined by paths of n/2, n/2 and 1 edges.
+    """
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)])
+
+
+def theta_kappa(lengths):
+    """NB leading eigenvalue of a theta graph with path lengths l_j.
+
+    It is the root in (1, 2) of sum_j 1 / (1 + kappa^l_j) = 1, found by bisection.
+    """
+    lo, hi = 1.0, 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if sum(1.0 / (1.0 + mid**l) for l in lengths) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def test_nb_matrix_single_edge_is_zero():
@@ -89,11 +112,13 @@ def test_solver_diagnostics():
     assert polished.path == "power" and polished.polished
     unicyclic = nb_centrality(cycle_graph(6))
     assert (unicyclic.path, unicyclic.iterations, unicyclic.polished) == ("unicyclic", 0, False)
-    # A tolerance below rounding level exhausts the power iteration.
-    g = complete_graph(4)
-    kappa, _x, _res, solver = _leading_node_pair(g, 1e-18)
-    assert kappa == pytest.approx(2.0, abs=1e-12)
-    assert solver["path"] == "dense" and solver["iterations"] == 100 * 2 * g.n
+    # A long ring with one chord has its leading eigenvalue close to the rest
+    # of the spectrum, so power iteration exhausts its 100 steps per dimension
+    # (rings of 154 and 156..240 nodes do; 155 and 150..153 still converge).
+    g = ring_with_chord(160)
+    dense = nb_centrality(g)
+    assert dense.path == "dense" and dense.iterations == 100 * 2 * g.n
+    assert dense.kappa == pytest.approx(theta_kappa((80, 80, 1)), abs=1e-12)
 
 
 def test_centrality_memory_is_linear_in_edges():
@@ -193,4 +218,4 @@ def test_verify_b_vs_m_er_instance():
 
 def test_verify_b_vs_m_cap():
     with pytest.raises(InvalidParamsError):
-        verify_b_vs_m(complete_graph(30), max_directed_edges=400)
+        verify_b_vs_m(complete_graph(30))
