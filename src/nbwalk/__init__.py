@@ -17,8 +17,8 @@ from .hitting import (
     hub_report, walk_hitting,
 )
 from .models import (
-    RoseOracle4, RoseSpec, gen_ba, gen_er, gen_ws, loglog_slope, make_rose, rose4_oracle,
-    scaling_table,
+    RoseOracle4, RoseSpec, corrected_exponent, gen_ba, gen_er, gen_ws, loglog_slope, make_rose,
+    rose4_oracle, scaling_table,
 )
 from .nbcentrality import NbCentrality, NbMatrix, build_m_matrix, build_nb_matrix, nb_centrality, verify_b_vs_m
 from .simulate import SimConfig, SimResult, simulate_hitting, simulate_stationary

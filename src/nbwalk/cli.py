@@ -20,7 +20,8 @@ from .errors import InvalidParamsError, NbwalkError, ParseError
 from .graph import parse_edge_list
 from .hitting import eq26_audit, hitting_linear, hitting_spectral, hub_node, walk_hitting
 from .models import (
-    RoseSpec, gen_ba, gen_er, gen_ws, loglog_slope, make_rose, rose4_oracle, scaling_table,
+    RoseSpec, corrected_exponent, gen_ba, gen_er, gen_ws, loglog_slope, make_rose, rose4_oracle,
+    scaling_table,
 )
 from .nbcentrality import nb_centrality
 from .simulate import SimConfig, simulate_hitting, simulate_stationary
@@ -47,8 +48,6 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser():
     parser = _Parser(prog="nbwalk", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; results are thread-independent")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("-o", "--output", default=None)
@@ -107,9 +106,11 @@ def build_parser():
     p.add_argument("--mode", choices=["stationary", "hitting"], required=True)
     p.add_argument("--source", default=None, help="node id as written in the graph file")
     p.add_argument("--target", default=None, help="node id as written in the graph file")
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=int, default=100_000,
+                   help="hitting: independent trials; stationary: sqrt(trials) chains")
     p.add_argument("--max-steps", type=int, default=1_000_000)
-    p.add_argument("--burn-in", type=int, default=1000)
+    p.add_argument("--burn-in", type=int, default=1000,
+                   help="stationary: uncounted steps each chain walks first")
     return parser
 
 
@@ -316,13 +317,13 @@ def cmd_scaling(args):
         raise InvalidParamsError(f"--points must be >= 2 to fit a slope, got {args.points}")
     ms = np.unique(np.geomspace(lo, hi, num=args.points).astype(int))
     rows_data = scaling_table(args.kind, ms.tolist())
-    slope = loglog_slope(rows_data)
     rows = [["m", "n", "t_global"]]
     entries = []
     for m, (n, t) in zip(ms.tolist(), rows_data):
         entries.append({"m": m, "n": n, "t_global": t})
         rows.append([m, n, _fmt(t)])
-    return {"kind": args.kind, "slope": slope, "rows": entries}, None, rows
+    return {"kind": args.kind, "slope": loglog_slope(rows_data),
+            "exponent": corrected_exponent(rows_data), "rows": entries}, None, rows
 
 
 def cmd_simulate(args):
@@ -362,6 +363,7 @@ COMMANDS = {
     "scaling": cmd_scaling,
     "simulate": cmd_simulate,
 }
+NO_TABLE = ("centrality", "rose-oracle", "simulate")  # refused with --format csv
 
 
 def _manifest(args, digest, elapsed):
@@ -379,7 +381,7 @@ def _manifest(args, digest, elapsed):
 def _write_output(args, payload, rows, manifest):
     if args.command == "generate":
         text = payload["edge_list"]
-    elif args.format == "csv" and rows is not None:
+    elif args.format == "csv":
         header = "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n"
         body = "\n".join(",".join(str(c) for c in row) for row in rows)
         text = header + body + "\n"
@@ -402,6 +404,8 @@ def _write_output(args, payload, rows, manifest):
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        if args.format == "csv" and args.command in NO_TABLE:
+            raise InvalidParamsError(f"{args.command} has no table to write as CSV")
         start = time.perf_counter()
         payload, digest, rows = COMMANDS[args.command](args)
         elapsed = time.perf_counter() - start

@@ -16,10 +16,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph with dense adjacency.
+    """Simple undirected graph stored as its sorted edge list.
 
-    Nodes are dense 0-indexed internally; ``labels`` maps the internal id
-    back to the id used in the input file.
+    Nodes are 0-indexed internally; ``labels`` maps the internal id back to
+    the id used in the input file.  ``arcs`` and ``degrees`` are computed
+    once; ``adjacency`` builds a fresh dense matrix on every access.
     """
 
     n: int

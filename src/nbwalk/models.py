@@ -235,3 +235,13 @@ def loglog_slope(rows):
     ns = np.log([r[0] for r in rows])
     ts = np.log([r[1] for r in rows])
     return float(np.polyfit(ns, ts, 1)[0])
+
+
+def corrected_exponent(rows):
+    """Exponent alpha of a least-squares fit of log T = a + alpha log N + sum b_k N^(-k/2)."""
+    n = np.array([r[0] for r in rows], dtype=float)
+    t = np.array([r[1] for r in rows], dtype=float)
+    design = np.column_stack([np.ones_like(n), np.log(n)]
+                             + [n ** (-k / 2) for k in range(1, 5)])
+    coef = np.linalg.lstsq(design, np.log(t), rcond=None)[0]
+    return float(coef[1])

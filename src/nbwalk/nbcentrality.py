@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ConvergenceFailureError, InvalidParamsError, NotConnectedError, TreeGraphError
 from .graph import validate
-from .spectral import TOL, _dense_leading, leading_eig
+from .spectral import TOL, leading_eig
 
 # The explicit B takes (2E)^2 doubles, so verify_b_vs_m refuses larger graphs.
 MAX_DIRECTED_EDGES = 400
@@ -142,28 +142,22 @@ def _stacked_gap(kappa, z, n):
 
 
 def _leading_m_pair(g):
-    """Leading eigenpair of the M matrix with a structural validity check.
+    """Leading eigenpair of M, by power iteration on the edge-list operator.
 
-    Power iteration on a defective spectrum can return a pseudo-pair with a
-    deceptively small residual, or settle into an invariant subspace of a
-    smaller eigenvalue.  A true pair has its bottom block equal to the top
-    block divided by kappa; violations force the dense solve.  The power
-    iteration runs on the edge-list operator; the dense M is built only for
-    the fallback.  Returns (kappa, z, solver path, power iterations).
+    A true pair has z_bottom = z_top / kappa; the power residual bounds that
+    gap (Mz - kappa z has bottom block z_top - kappa z_bottom), so a pair
+    breaking it is a convergence failure.  Returns (kappa, z, path, iterations).
     """
     n = g.n
     pair = leading_eig(_m_operator(g), shift=float(g.degrees.max()), size=2 * n,
                        dense=lambda: build_m_matrix(g))
-    kappa, z, path = pair.value, pair.vector, pair.path
-    if kappa <= 1e-9 or _stacked_gap(kappa, z, n) > 1e-6:
-        kappa, z, _ = _dense_leading(build_m_matrix(g))
-        path = "dense"
-        if kappa <= 1e-9 or _stacked_gap(kappa, z, n) > 1e-4:
-            raise ConvergenceFailureError(
-                "leading eigenpair violates the stacked-vector structure",
-                residual=_stacked_gap(kappa, z, n),
-            )
-    return kappa, z, path, pair.iterations
+    kappa, z = pair.value, pair.vector
+    if kappa <= 1e-9 or _stacked_gap(kappa, z, n) > 1e-4:
+        raise ConvergenceFailureError(
+            "leading eigenpair violates the stacked-vector structure",
+            residual=_stacked_gap(kappa, z, n),
+        )
+    return kappa, z, pair.path, pair.iterations
 
 
 def _clean_nonnegative(x):

@@ -10,7 +10,8 @@ from .errors import InvalidParamsError
 
 RNG_METADATA = {
     "algorithm": "numpy PCG64",
-    "streams": "default_rng([seed, trial_index]) per trial; default_rng([seed]) for trajectories",
+    "streams": "default_rng([seed]) per call; each step draws one uniform per live "
+               "trial or chain, in index order",
 }
 
 
@@ -43,102 +44,99 @@ class SimResult:
     rng: dict = field(default_factory=lambda: dict(RNG_METADATA))
 
 
-def _row_cdfs(p):
-    cdf = np.cumsum(p, axis=1)
-    cdf[:, -1] = 1.0  # kill rounding so draws can never fall out of range
-    return cdf
+def _stepper(p):
+    """``step(nodes, u)``: move the walker at each ``nodes[k]`` by the uniform ``u[k]``, at once.
 
-
-def simulate_stationary(p, cfg, start=0):
-    """Visit frequencies along one long trajectory after burn-in.
-
-    Standard errors come from batch means over sqrt(trials) batches.
+    The arc table lists the nonzeros of P in row order, keyed by row index
+    plus cumulative probability within the row; the last key of row i is
+    exactly i + 1.  A draw takes the first arc whose key exceeds i + u,
+    clamped to the row's last arc for when i + u rounds up to i + 1.
     """
     mat = p.p
-    n = mat.shape[0]
-    cdf = _row_cdfs(mat)
-    rng = np.random.default_rng([cfg.seed])
-    draws = rng.random(cfg.burn_in + cfg.max_steps)
-    node = start
-    for t in range(cfg.burn_in):
-        node = int(np.searchsorted(cdf[node], draws[t]))
-    n_batches = max(2, int(np.sqrt(cfg.trials)))
-    batch_len = cfg.max_steps // n_batches
-    if batch_len < 1:
+    rows, dst = np.nonzero(mat)
+    prob = mat[rows, dst]
+    last = np.cumsum(np.bincount(rows, minlength=mat.shape[0])) - 1
+    cum = np.cumsum(prob)
+    before = np.concatenate([[0.0], cum[last[:-1]]])  # total of the rows above
+    keys = rows + np.minimum(cum - before[rows], 1.0)
+    keys[last] = np.arange(mat.shape[0]) + 1.0
+
+    def step(nodes, u):
+        arc = np.searchsorted(keys, nodes + u, side="right")
+        return dst[np.minimum(arc, last[nodes])]
+
+    return step
+
+
+def simulate_stationary(p, cfg):
+    """Visit frequencies of max(2, sqrt(trials)) independent chains from node 0.
+
+    Each chain walks ``burn_in`` steps, then ``max_steps // chains`` counted
+    steps; standard errors are taken across the chains' frequencies.
+    """
+    n = p.p.shape[0]
+    chains = max(2, int(np.sqrt(cfg.trials)))
+    length = cfg.max_steps // chains
+    if length < 1:
         raise InvalidParamsError("max_steps too small for batch-means error estimate")
-    batch_freq = np.zeros((n_batches, n))
-    pos = cfg.burn_in
-    for b in range(n_batches):
-        counts = np.zeros(n)
-        for _ in range(batch_len):
-            node = int(np.searchsorted(cdf[node], draws[pos]))
-            counts[node] += 1
-            pos += 1
-        batch_freq[b] = counts / batch_len
-    estimates = batch_freq.mean(axis=0)
-    se = batch_freq.std(axis=0, ddof=1) / np.sqrt(n_batches)
+    step = _stepper(p)
+    rng = np.random.default_rng([cfg.seed])
+    nodes = np.zeros(chains, dtype=np.intp)
+    for _ in range(cfg.burn_in):
+        nodes = step(nodes, rng.random(chains))
+    counts = np.zeros(chains * n)
+    offsets = np.arange(chains) * n
+    for _ in range(length):
+        nodes = step(nodes, rng.random(chains))
+        counts[offsets + nodes] += 1.0
+    freq = counts.reshape(chains, n) / length
     return SimResult(
         mode="stationary",
-        estimates=estimates,
-        standard_errors=se,
-        samples=n_batches * batch_len,
+        estimates=freq.mean(axis=0),
+        standard_errors=freq.std(axis=0, ddof=1) / np.sqrt(chains),
+        samples=chains * length,
     )
 
 
 def simulate_hitting(p, source, target, cfg):
-    """Mean first-arrival step over independent trials with per-trial RNG streams.
+    """Mean first-arrival step over independent trials walked together.
 
     Trials hitting the step cap are reported separately; if more than 0.1% are
     truncated the point estimate is withheld (NaN) and only the exclusion and
     cap-substitution bounds are reported.
     """
-    mat = p.p
-    n = mat.shape[0]
+    n = p.p.shape[0]
     if source == target:
         raise InvalidParamsError("source and target must differ")
     if not (0 <= source < n and 0 <= target < n):
         raise InvalidParamsError("source/target out of range")
-    cdf = _row_cdfs(mat)
-    steps = np.empty(cfg.trials)
-    truncated = 0
-    block = 64
-    for trial in range(cfg.trials):
-        rng = np.random.default_rng([cfg.seed, trial])
-        node = source
-        step = 0
-        hit = False
-        while step < cfg.max_steps and not hit:
-            draws = rng.random(min(block, cfg.max_steps - step))
-            for u in draws:
-                node = int(np.searchsorted(cdf[node], u))
-                step += 1
-                if node == target:
-                    hit = True
-                    break
-        if hit:
-            steps[trial] = step
-        else:
-            steps[trial] = np.nan
-            truncated += 1
-    done = steps[~np.isnan(steps)]
-    frac = truncated / cfg.trials
+    step = _stepper(p)
+    rng = np.random.default_rng([cfg.seed])
+    steps = np.full(cfg.trials, float(cfg.max_steps))  # truncated trials keep the cap
+    live = np.arange(cfg.trials)
+    nodes = np.full(cfg.trials, source)
+    for t in range(1, cfg.max_steps + 1):
+        nodes = step(nodes, rng.random(live.size))
+        hit = nodes == target
+        steps[live[hit]] = t
+        live, nodes = live[~hit], nodes[~hit]
+        if not live.size:
+            break
+    done = np.delete(steps, live)
+    frac = live.size / cfg.trials
     mean_excl = float(done.mean()) if done.size else float("nan")
-    cap_sub = steps.copy()
-    cap_sub[np.isnan(cap_sub)] = cfg.max_steps
-    mean_cap = float(cap_sub.mean())
-    if frac > 0.001 or done.size == 0:
-        estimate = float("nan")
-        se = float("nan")
-    else:
+    estimate = se = float("nan")
+    if frac <= 0.001 and done.size:
         estimate = mean_excl
-        se = float(done.std(ddof=1) / np.sqrt(done.size)) if done.size > 1 else float("nan")
+        if done.size > 1:
+            se = float(done.std(ddof=1) / np.sqrt(done.size))
     return SimResult(
         mode="hitting",
         estimates=np.array([estimate]),
         standard_errors=np.array([se]),
-        truncated=truncated,
+        truncated=live.size,
         samples=int(done.size),
         truncated_fraction=frac,
         estimate_excluding_truncated=mean_excl,
-        estimate_cap_bound=mean_cap,
+        estimate_cap_bound=float(steps.mean()),
     )

@@ -27,8 +27,8 @@ import numpy as np
 import pytest
 
 from nbwalk import (
-    RoseSpec, SimConfig, WalkKind, detailed_balance_residual, eq26_audit, gen_ba,
-    gen_er, gen_ws, hitting_linear, hitting_spectral, ipr, loglog_slope, make_rose,
+    RoseSpec, SimConfig, WalkKind, corrected_exponent, detailed_balance_residual, eq26_audit,
+    gen_ba, gen_er, gen_ws, hitting_linear, hitting_spectral, ipr, loglog_slope, make_rose,
     nb_centrality, rose4_oracle, scaling_table, simulate_hitting, simulate_stationary,
     stationary_closed, stationary_generic, transition, verify_b_vs_m,
 )
@@ -162,16 +162,6 @@ SCALING_TARGETS = {WalkKind.TURW: (1.00, 0.02), WalkKind.NBCRW: (1.50, 0.03),
                    WalkKind.MERW: (2.00, 0.02)}
 
 
-def corrected_exponent(rows):
-    """Exponent alpha of a least-squares fit of log T = a + alpha log N + sum b_k N^(-k/2)."""
-    n = np.array([r[0] for r in rows], dtype=float)
-    t = np.array([r[1] for r in rows], dtype=float)
-    design = np.column_stack([np.ones_like(n), np.log(n)]
-                             + [n ** (-k / 2) for k in range(1, 5)])
-    coef = np.linalg.lstsq(design, np.log(t), rcond=None)[0]
-    return float(coef[1])
-
-
 def test_criterion_5_scaling_exponents(capsys):
     start = time.perf_counter()
     slopes = {}
@@ -277,23 +267,24 @@ def test_criterion_8_monte_carlo_validation(tmp_path, capsys):
     out = simulate_hitting(transition(WalkKind.MERW, rose), 1, 0, cfg_hit)
     if abs(out.estimates[0] - 2.0) > 3.0 * out.standard_errors[0]:
         failures.append("rose internal-to-hub hitting")
-    # Thread setting must not influence the stream for a fixed seed.
+    # The same seed must give the same output on a rerun.
     path = tmp_path / "k3.txt"
     path.write_text("0 1\n1 2\n2 0\n")
     runs = []
-    for threads in ("1", "4"):
-        code = cli_main(["--threads", threads, "--seed", "7", "simulate", str(path),
-                         "--walk", "turw", "--mode", "hitting", "--source", "0",
-                         "--target", "1", "--trials", "3000"])
+    for _ in range(2):
+        code = cli_main(["--seed", "7", "simulate", str(path), "--walk", "turw", "--mode",
+                         "hitting", "--source", "0", "--target", "1", "--trials", "3000"])
         captured = capsys.readouterr()
         assert code == 0, captured.err
-        runs.append(json.loads(captured.out)["estimates"])
+        payload = json.loads(captured.out)
+        payload["manifest"].pop("timing_s")
+        runs.append(payload)
     if runs[0] != runs[1]:
-        failures.append("thread determinism")
+        failures.append("rerun determinism")
     elapsed = time.perf_counter() - start
     ok = not failures
     line = (f"criterion 8: {'PASS' if ok else 'FAIL'} — five exact targets within "
-            f"3 standard errors, thread-independent streams, {elapsed:.0f}s"
+            f"3 standard errors, same-seed rerun identical, {elapsed:.0f}s"
             + ("" if ok else f"; {failures}"))
     report(capsys, line)
     if not ok:

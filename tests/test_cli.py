@@ -245,6 +245,18 @@ def test_scaling_turw_slope(capsys):
     assert out["rows"][0]["n"] == 31
 
 
+def test_scaling_nbcrw_corrected_exponent(capsys):
+    out = run_json(capsys, ["scaling", "--kind", "nbcrw"])
+    assert out["exponent"] == pytest.approx(1.5, abs=0.03)
+    assert out["slope"] < 1.3  # the bare window slope is only an effective exponent
+
+
+def test_generate_ignores_csv_format(capsys):
+    assert main(["--format", "csv", "generate", "--model", "rose", "--m", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# model=rose") and lines[1] == "%N 7"
+
+
 def test_scaling_bad_range_exit_code(capsys):
     assert main(["scaling", "--kind", "turw", "--m-range", "bogus"]) == 6
     capsys.readouterr()
@@ -275,19 +287,15 @@ def test_simulate_hitting_small(tmp_path, capsys):
 
 def test_rerun_determinism_modulo_timing(tmp_path, capsys):
     path = rose2_file(tmp_path)
-    for argv in (["stationary", path, "--walk", "all", "--check"], ["centrality", path]):
+    simulate = ["--seed", "3", "simulate", path, "--walk", "nbcrw", "--mode", "stationary",
+                "--trials", "400", "--max-steps", "4000"]
+    for argv in (["stationary", path, "--walk", "all", "--check"], ["centrality", path],
+                 simulate):
         a = run_json(capsys, argv)
         b = run_json(capsys, argv)
         a["manifest"].pop("timing_s")
         b["manifest"].pop("timing_s")
         assert a == b
-
-
-def test_threads_flag_does_not_change_numbers(tmp_path, capsys):
-    base = ["hitting", rose2_file(tmp_path), "--walk", "all", "--method", "both"]
-    a = run_json(capsys, ["--threads", "1"] + base)
-    b = run_json(capsys, ["--threads", "8"] + base)
-    assert a["reports"] == b["reports"]
 
 
 # Every malformed invocation: argv (with graph-file placeholders), exit code, error code.
@@ -321,6 +329,10 @@ MALFORMED = {
                                    "--burn-in", "-1"], 6, "invalid_params"),
     "simulate-max-steps-5": (["simulate", "{k3}", "--walk", "turw", "--mode", "stationary",
                               "--max-steps", "5"], 6, "invalid_params"),
+    "csv-centrality": (["--format", "csv", "centrality", "{rose}"], 6, "invalid_params"),
+    "csv-rose-oracle": (["--format", "csv", "rose-oracle", "5"], 6, "invalid_params"),
+    "csv-simulate": (["--format", "csv", "simulate", "{k3}", "--walk", "turw", "--mode",
+                      "stationary"], 6, "invalid_params"),
 }
 
 
@@ -355,7 +367,7 @@ def test_help_exits_zero_and_lists_no_tolerance(capsys):
         main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "--threads" in out and "--tol" not in out
+    assert "--threads" not in out and "--tol" not in out
 
 
 def test_numeric_round_trip_precision(tmp_path, capsys):

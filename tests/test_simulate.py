@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nbwalk import (
-    InvalidParamsError, RoseSpec, SimConfig, WalkKind, make_rose, simulate_hitting,
+    InvalidParamsError, RoseSpec, SimConfig, WalkKind, gen_ba, make_rose, simulate_hitting,
     simulate_stationary, transition,
 )
+
+from nbwalk.simulate import _stepper
 
 from conftest import complete_graph
 
@@ -91,3 +95,45 @@ def test_rng_metadata_present():
     p = transition(WalkKind.TURW, complete_graph(3))
     out = simulate_stationary(p, SimConfig(seed=0, trials=100, max_steps=500))
     assert "PCG64" in out.rng["algorithm"]
+
+
+def test_step_matches_row_cdf_inverse():
+    # Reference: invert each walker's own row CDF, one walker at a time.
+    p = transition(WalkKind.NBCRW, gen_ba(60, 2, 3))
+    rng = np.random.default_rng(0)
+    nodes = rng.integers(0, 60, size=2000)
+    u = rng.random(2000)
+    expected = [np.searchsorted(np.cumsum(p.p[v]), x, side="right") for v, x in zip(nodes, u)]
+    assert np.array_equal(_stepper(p)(nodes, u), expected)
+
+
+@pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)], ids=["zero", "below-one"])
+def test_extreme_draws_stay_on_positive_arcs(u):
+    # The rows of the rose m=2 NBCRW P have zero-probability entries around
+    # their arcs, and node + u rounds up to node + 1 for u just below one.
+    p = transition(WalkKind.NBCRW, make_rose(RoseSpec(m=2)))
+    nodes = np.arange(p.p.shape[0])
+    nxt = _stepper(p)(nodes, np.full(nodes.size, u))
+    assert np.all(p.p[nodes, nxt] > 0.0)
+
+
+def test_stationary_memory_does_not_grow_with_steps():
+    p = transition(WalkKind.NBCRW, make_rose(RoseSpec(m=2)))
+    cfg = SimConfig(seed=1, max_steps=1_000_000)
+    simulate_stationary(p, SimConfig(seed=0, max_steps=10_000))
+    tracemalloc.start()
+    try:
+        simulate_stationary(p, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+def test_partly_truncated_trials_are_all_accounted():
+    p = transition(WalkKind.TURW, make_rose(RoseSpec(m=3)))
+    cfg = SimConfig(seed=5, trials=300, max_steps=6)
+    out = simulate_hitting(p, 3, 0, cfg)
+    assert 0 < out.truncated < cfg.trials
+    assert out.truncated + out.samples == cfg.trials
+    assert out.estimate_excluding_truncated < out.estimate_cap_bound <= cfg.max_steps
