@@ -39,6 +39,11 @@ def _listify(arr):
     return [float(v) for v in np.asarray(arr).ravel()]
 
 
+def _json_array(arr):
+    """Encoder hook for arrays: a matrix becomes a list of its rows, so one row at a time is floats."""
+    return list(arr) if arr.ndim == 2 else arr.tolist()
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports usage errors as ``invalid_params`` instead of printing usage and exiting 2."""
 
@@ -200,7 +205,7 @@ def cmd_hitting(args):
         entry["t_global"] = main.t_global
         entry["t_partial"] = _listify(main.t_partial)
         if g.n <= 500 or args.full_matrix:
-            entry["t_matrix"] = [_listify(row) for row in main.t]
+            entry["t_matrix"] = main.t
         if spectral is not None and linear is not None:
             entry["spectral_vs_linear_max_gap"] = float(np.max(np.abs(spectral.t - linear.t)))
         for tgt in targets:
@@ -216,8 +221,8 @@ def cmd_hitting(args):
         if kind is WalkKind.NBCRW and args.verbatim_eq26:
             audit = eq26_audit(g)
             entry["eq26_audit"] = {
-                "t_verbatim": [_listify(r) for r in audit["t_verbatim"]],
-                "t_consistent": [_listify(r) for r in audit["t_consistent"]],
+                "t_verbatim": audit["t_verbatim"],
+                "t_consistent": audit["t_consistent"],
                 "max_gap_consistent_vs_linear": audit["max_gap_consistent_vs_linear"],
                 "max_gap_verbatim_vs_linear": audit["max_gap_verbatim_vs_linear"],
                 "note": audit["note"],
@@ -389,7 +394,7 @@ def _write_output(args, payload, rows, manifest):
         payload = dict(payload)
         payload["manifest"] = manifest
         # Streamed: a full hitting matrix as one string costs several times its size.
-        encoder = json.JSONEncoder(indent=2, sort_keys=True)
+        encoder = json.JSONEncoder(indent=2, sort_keys=True, default=_json_array)
         text = itertools.chain(encoder.iterencode(payload), ("\n",))
     if args.output:
         try:

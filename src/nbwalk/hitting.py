@@ -28,21 +28,33 @@ class HittingReport:
     method: str = "spectral"
 
 
+def _reaches_all(support):
+    """Whether node 0 reaches every node along the boolean support matrix."""
+    seen = frontier = np.eye(1, support.shape[0], dtype=bool)[0]
+    while frontier.any():
+        frontier = support[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return seen.all()
+
+
 def hitting_linear(p):
-    """Oracle: per-target absorbing solves (I - P_minus_j) t = 1."""
-    mat = p.p
-    n = mat.shape[0]
-    t = np.zeros((n, n))
-    eye = np.eye(n - 1)
-    idx_all = np.arange(n)
-    for j in range(n):
-        keep = idx_all != j
-        sub = mat[np.ix_(keep, keep)]
-        try:
-            col = np.linalg.solve(eye - sub, np.ones(n - 1))
-        except np.linalg.LinAlgError:
-            raise InvalidParamsError(f"singular absorbing system for target {j}: chain reducible")
-        t[keep, j] = col
+    """Oracle: every T_ij from one solve of the fundamental matrix G = (I - P + 1uᵀ)⁻¹, u = 1/n.
+
+    Since (I - P) G = I - 1πᵀ with πᵀ = uᵀG, column j of
+    T_ij = (G_jj - G_ij) / π_j solves the absorbing system (I - P₋ⱼ) t = 1.
+    """
+    n = p.p.shape[0]
+    support = p.p > 0
+    if not (_reaches_all(support) and _reaches_all(support.T)):
+        raise InvalidParamsError("transition support not strongly connected: chain reducible")
+    a = 1.0 / n - p.p
+    a[np.diag_indices(n)] += 1.0
+    t = np.linalg.solve(a, np.eye(n))  # G, turned into T in place below
+    del a
+    pi = t.mean(axis=0)
+    t -= np.diag(t).copy()
+    t /= -pi
+    np.fill_diagonal(t, 0.0)
     t_partial = t.sum(axis=0) / (n - 1)
     t_global = float(t_partial.mean())
     return HittingReport(kind=p.kind, t=t, t_partial=t_partial, t_global=t_global, method="linear_solve")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from nbwalk import Graph, RoseSpec, gen_ba, gen_er, gen_ws, make_rose, validate
@@ -23,6 +24,18 @@ def star_with_chord(n):
     """
     edges = [(0, i) for i in range(1, n)] + [(1, 2)]
     return Graph.from_edges(n, edges)
+
+
+def absorbing_hitting(p):
+    """Reference hitting times: one absorbing solve (I - P_minus_j) t = 1 per target j."""
+    mat = p.p
+    n = mat.shape[0]
+    t = np.zeros((n, n))
+    eye = np.eye(n - 1)
+    for j in range(n):
+        keep = np.arange(n) != j
+        t[keep, j] = np.linalg.solve(eye - mat[np.ix_(keep, keep)], np.ones(n - 1))
+    return t
 
 
 def _usable(g):

@@ -185,6 +185,29 @@ def test_full_matrix_gate(tmp_path, capsys):
     assert len(out["reports"][0]["t_matrix"]) == 600
 
 
+def test_hitting_both_on_ba1000_passes_gate(tmp_path, capsys):
+    # max t_partial <= max T, so this bound is no looser than 1e-7 * (1 + max T).
+    graph = str(tmp_path / "ba1000.txt")
+    assert main(["--seed", "1", "-o", graph, "generate", "--model", "ba", "--n", "1000",
+                 "--m-attach", "2"]) == 0
+    capsys.readouterr()
+    out = run_json(capsys, ["hitting", graph, "--walk", "all", "--method", "both"])
+    assert [r["kind"] for r in out["reports"]] == ["turw", "merw", "nbcrw"]
+    for rep in out["reports"]:
+        bound = 1e-7 * (1.0 + max(rep["t_partial"]))
+        assert rep["spectral_vs_linear_max_gap"] <= bound, rep["kind"]
+
+
+def test_hitting_matrix_json_is_exact(tmp_path, capsys):
+    from nbwalk import WalkKind, hitting_linear, parse_edge_list, transition
+
+    path = rose2_file(tmp_path)
+    out = run_json(capsys, ["hitting", path, "--walk", "merw", "--method", "linear"])
+    g = parse_edge_list(open(path).read())
+    expected = hitting_linear(transition(WalkKind.MERW, g)).t
+    assert np.array_equal(np.array(out["reports"][0]["t_matrix"]), expected)
+
+
 def test_generate_er_complete(tmp_path, capsys):
     path = str(tmp_path / "er.txt")
     assert main(["-o", path, "generate", "--model", "er", "--n", "10", "--p", "1.0"]) == 0

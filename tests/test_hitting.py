@@ -1,4 +1,4 @@
-"""Hitting times: spectral formulas against the absorbing linear-system oracle."""
+"""Hitting times: spectral formulas against the fundamental-matrix and absorbing-solve oracles."""
 
 from __future__ import annotations
 
@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from nbwalk import (
-    RoseSpec, WalkKind, eq26_audit, hitting_linear, hitting_merw_adjacency, hitting_spectral,
-    hub_node, hub_report, make_rose, stationary_closed, transition,
+    InvalidParamsError, RoseSpec, TransitionMatrix, WalkKind, eq26_audit, hitting_linear,
+    hitting_merw_adjacency, hitting_spectral, hub_node, hub_report, make_rose, stationary_closed,
+    transition,
 )
 
-from conftest import complete_graph, cycle_graph, star_with_chord
+from conftest import absorbing_hitting, complete_graph, cycle_graph, star_with_chord
 
 
 def test_linear_complete_graph():
@@ -33,6 +34,47 @@ def test_linear_rose_nbcrw_internal_to_hub():
     rep = hitting_linear(transition(WalkKind.NBCRW, g))
     assert rep.t[1, 0] == pytest.approx(1.0 + np.sqrt(3.0), abs=1e-9)
     assert rep.t[1, 0] == pytest.approx(2.732051, abs=1e-6)
+
+
+def test_linear_matches_absorbing_reference(corpus):
+    roses = [(f"rose-m{m}", make_rose(RoseSpec(m=m))) for m in range(2, 11)]
+    for name, g in corpus + roses:
+        for kind in WalkKind:
+            p = transition(kind, g)
+            ref = absorbing_hitting(p)
+            gap = float(np.max(np.abs(hitting_linear(p).t - ref)))
+            if kind is WalkKind.MERW:
+                assert gap <= 1e-7 * (1.0 + ref.max()), (name, kind)
+            else:
+                assert gap <= 1e-9 * ref.max(), (name, kind)
+
+
+def test_linear_is_one_solve(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    hitting_linear(transition(WalkKind.NBCRW, make_rose(RoseSpec(m=4))))
+    assert len(calls) == 1
+
+
+def _two_triangles():
+    p = np.zeros((6, 6))
+    p[:3, :3] = p[3:, 3:] = 0.5 * (np.ones((3, 3)) - np.eye(3))
+    return p
+
+
+@pytest.mark.parametrize("p", [
+    _two_triangles(),
+    np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]]),  # node 2 absorbs
+], ids=["disjoint-triangles", "absorbing-state"])
+def test_linear_refuses_reducible_chain(p):
+    with pytest.raises(InvalidParamsError, match="reducible"):
+        hitting_linear(TransitionMatrix(kind=WalkKind.TURW, p=p))
 
 
 def test_spectral_turw_rose():
