@@ -10,8 +10,11 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
+import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -35,13 +38,45 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _listify(arr):
-    return [float(v) for v in np.asarray(arr).ravel()]
+def _iterjson(obj, level=0):
+    """Yield the text of ``json.dumps(obj, indent=2, sort_keys=True)``, piece by piece.
 
-
-def _json_array(arr):
-    """Encoder hook for arrays: a matrix becomes a list of its rows, so one row at a time is floats."""
-    return list(arr) if arr.ndim == 2 else arr.tolist()
+    An ndarray is written as its nested list, one row per piece, so no matrix
+    is ever held as one string.  NaN and infinities are written as ``null``
+    (the stdlib writes ``NaN``), so the output stays strict JSON.
+    """
+    if isinstance(obj, (np.generic, np.ndarray)) and obj.ndim == 0:
+        obj = obj.tolist()
+    if isinstance(obj, str):
+        yield encode_basestring_ascii(obj)
+    elif obj is None or obj is True or obj is False:
+        yield "null" if obj is None else "true" if obj else "false"
+    elif isinstance(obj, int):
+        yield int.__repr__(obj)
+    elif isinstance(obj, float):
+        yield float.__repr__(obj) if math.isfinite(obj) else "null"
+    elif (isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.size
+          and obj.dtype.kind in "iuf" and np.isfinite(obj).all()):
+        # One piece per row: the repr of every entry, joined once.
+        inner = "\n" + "  " * (level + 1)
+        text = map(float.__repr__ if obj.dtype.kind == "f" else int.__repr__, obj.tolist())
+        yield "[" + inner + ("," + inner).join(text) + "\n" + "  " * level + "]"
+    elif isinstance(obj, (dict, list, tuple, np.ndarray)):
+        if isinstance(obj, dict):
+            brackets = "{}"
+            items = [(encode_basestring_ascii(key) + ": ", obj[key]) for key in sorted(obj)]
+        else:
+            brackets, items = "[]", [("", value) for value in obj]
+        if not items:
+            yield brackets
+            return
+        inner = "\n" + "  " * (level + 1)
+        for i, (prefix, value) in enumerate(items):
+            yield ("," if i else brackets[0]) + inner + prefix
+            yield from _iterjson(value, level + 1)
+        yield "\n" + "  " * level + brackets[1]
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,12 +187,12 @@ def cmd_centrality(args):
     _, psi1 = adjacency_leading_eigvec(g)
     return {
         "kappa": nc.kappa,
-        "x": _listify(nc.x),
-        "y": _listify(nc.y),
+        "x": nc.x,
+        "y": nc.y,
         "residual": nc.residual,
         "solver": {"path": nc.path, "iterations": nc.iterations, "polished": nc.polished},
-        "eigenvector_centrality": _listify(psi1),
-        "degrees": [int(d) for d in g.degrees],
+        "eigenvector_centrality": psi1,
+        "degrees": g.degrees,
     }, digest, None
 
 
@@ -166,7 +201,7 @@ def _stationary_entry(kind, g, args):
     sd = walk.stationary()
     entry = {
         "kind": kind.value,
-        "pi": _listify(sd.pi),
+        "pi": sd.pi,
         "ipr": ipr(sd.pi),
         "method": sd.method,
     }
@@ -203,7 +238,7 @@ def cmd_hitting(args):
             linear = hitting_linear(transition(kind, g))
         main = spectral if spectral is not None else linear
         entry["t_global"] = main.t_global
-        entry["t_partial"] = _listify(main.t_partial)
+        entry["t_partial"] = main.t_partial
         if g.n <= 500 or args.full_matrix:
             entry["t_matrix"] = main.t
         if spectral is not None and linear is not None:
@@ -345,8 +380,8 @@ def cmd_simulate(args):
     payload = {
         "mode": result.mode,
         "walk": args.walk,
-        "estimates": _listify(result.estimates),
-        "standard_errors": _listify(result.standard_errors),
+        "estimates": result.estimates,
+        "standard_errors": result.standard_errors,
         "samples": result.samples,
         "truncated": result.truncated,
         "truncated_fraction": result.truncated_fraction,
@@ -369,6 +404,7 @@ COMMANDS = {
     "simulate": cmd_simulate,
 }
 NO_TABLE = ("centrality", "rose-oracle", "simulate")  # refused with --format csv
+EXIT_STDOUT_CLOSED = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by the signal
 
 
 def _manifest(args, digest, elapsed):
@@ -394,8 +430,7 @@ def _write_output(args, payload, rows, manifest):
         payload = dict(payload)
         payload["manifest"] = manifest
         # Streamed: a full hitting matrix as one string costs several times its size.
-        encoder = json.JSONEncoder(indent=2, sort_keys=True, default=_json_array)
-        text = itertools.chain(encoder.iterencode(payload), ("\n",))
+        text = itertools.chain(_iterjson(payload), ("\n",))
     if args.output:
         try:
             with open(args.output, "w") as fh:
@@ -404,6 +439,7 @@ def _write_output(args, payload, rows, manifest):
             raise InvalidParamsError(f"cannot write --output {args.output!r}: {exc.strerror}")
     else:
         sys.stdout.writelines(text)
+        sys.stdout.flush()
 
 
 def main(argv=None):
@@ -418,6 +454,14 @@ def main(argv=None):
     except NbwalkError as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "message": str(exc)}) + "\n")
         return exc.exit_code
+    except BrokenPipeError:
+        # The reader closed stdout early (``nbwalk ... | head``).  Point stdout
+        # at the null device so the interpreter's final flush stays quiet.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass  # a stdout without a file descriptor
+        return EXIT_STDOUT_CLOSED
     return 0
 
 

@@ -147,9 +147,18 @@ def _leading_m_pair(g):
     A true pair has z_bottom = z_top / kappa; the power residual bounds that
     gap (Mz - kappa z has bottom block z_top - kappa z_bottom), so a pair
     breaking it is a convergence failure.  Returns (kappa, z, path, iterations).
+
+    The shift is 1.  M's eigenvalues are eigenvalues of B (Ihara-Bass; B adds
+    only +-1), so every one has |lambda| <= kappa, and |lambda + 1| <
+    kappa + 1 for every lambda other than kappa itself: the target is strictly
+    dominant whenever kappa > 1.  (kappa = 1 is the unicyclic case, solved in
+    closed form before this.)  A shift s contracts the iteration by
+    max |lambda + s| / (kappa + s) over the other eigenvalues; for those near
+    the unit circle or inside |lambda| <= sqrt(kappa), where most of them lie
+    on sparse graphs, that ratio grows with s, so the smallest safe shift is used.
     """
     n = g.n
-    pair = leading_eig(_m_operator(g), shift=float(g.degrees.max()), size=2 * n,
+    pair = leading_eig(_m_operator(g), shift=1.0, size=2 * n,
                        dense=lambda: build_m_matrix(g))
     kappa, z = pair.value, pair.vector
     if kappa <= 1e-9 or _stacked_gap(kappa, z, n) > 1e-4:

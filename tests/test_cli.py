@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nbwalk.cli import main
+from nbwalk.cli import COMMANDS, EXIT_STDOUT_CLOSED, _iterjson, build_parser, main
 
 
 def run_json(capsys, argv):
@@ -399,3 +402,91 @@ def test_numeric_round_trip_precision(tmp_path, capsys):
     assert code == 0
     value = captured.out.strip().splitlines()[2].split(",")[2]
     assert float(value) == float(format(float(value), ".17g"))
+
+
+# Finite floats, with the edge cases of float repr drawn explicitly.
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e-310, 1e16, 1e-300, 0.1, 1.7976931348623157e308]),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**100, 2**100), FLOATS, st.text(),
+    st.booleans().map(np.bool_), st.integers(-2**62, 2**62).map(np.int64), FLOATS.map(np.float64),
+)
+ARRAYS = st.one_of(
+    st.lists(FLOATS, max_size=6).map(lambda v: np.array(v, dtype=float)),
+    st.lists(st.integers(-2**62, 2**62), max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
+    st.integers(0, 3).flatmap(lambda cols: st.lists(
+        st.lists(FLOATS, min_size=cols, max_size=cols), max_size=4,
+    ).map(lambda rows: np.array(rows, dtype=float).reshape(len(rows), cols))),
+)
+JSON_TREES = st.recursive(
+    SCALARS | ARRAYS,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=24,
+)
+
+
+def as_lists(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_lists(value) for value in obj]
+    return obj
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(JSON_TREES)
+def test_writer_matches_stdlib_encoding(obj):
+    assert "".join(_iterjson(obj)) == json.dumps(as_lists(obj), indent=2, sort_keys=True)
+
+
+def test_writer_emits_null_for_non_finite():
+    values = [math.nan, math.inf, -math.inf, 1.5]
+    expected = json.dumps([None, None, None, 1.5], indent=2)
+    assert "".join(_iterjson(values)) == expected
+    assert "".join(_iterjson(np.array(values))) == expected
+    assert "".join(_iterjson(np.float64(math.nan))) == "null"
+
+
+def test_hitting_output_equals_stdlib_encoding(tmp_path):
+    graph = str(tmp_path / "ba60.txt")
+    assert main(["--seed", "2", "-o", graph, "generate", "--model", "ba", "--n", "60",
+                 "--m-attach", "2"]) == 0
+    argv = ["hitting", graph, "--walk", "all", "--method", "both", "--target", "hub,global"]
+    out = tmp_path / "out.json"
+    assert main(["-o", str(out), *argv]) == 0
+    text = out.read_text()
+    payload, _digest, _rows = COMMANDS["hitting"](build_parser().parse_args(argv))
+    payload["manifest"] = json.loads(text)["manifest"]  # same run apart from timing_s
+    assert all("t_matrix" in report for report in payload["reports"])
+    expected = json.dumps(payload, indent=2, sort_keys=True, default=lambda a: a.tolist())
+    assert text == expected + "\n"
+
+
+def test_truncated_simulate_is_strict_json(tmp_path, capsys):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    # Node 6 is four steps from node 3, so every trial stops at the 2-step cap.
+    code = main(["simulate", rose2_file(tmp_path), "--walk", "turw", "--mode", "hitting",
+                 "--source", "3", "--target", "6", "--trials", "50", "--max-steps", "2"])
+    out = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert code == 0 and out["truncated"] == 50
+    assert out["estimates"] == [None] and out["standard_errors"] == [None]
+    assert out["estimate_excluding_truncated"] is None
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_quietly(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["hitting", rose2_file(tmp_path)])
+    assert code == EXIT_STDOUT_CLOSED == 141
+    assert capsys.readouterr().err == ""
