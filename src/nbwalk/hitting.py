@@ -1,4 +1,4 @@
-"""Hitting times: one weighted-Laplacian formula for every walk, and its oracles."""
+"""Hitting times: one formula over the weighted-Laplacian pseudo-inverse for every walk, and its oracles."""
 
 from __future__ import annotations
 
@@ -81,29 +81,38 @@ def hitting_merw_adjacency(g):
 
 
 def walk_hitting(walk):
-    """Hitting times of a reversible walk from the spectrum of its weighted Laplacian.
+    """Hitting times of a reversible walk from the pseudo-inverse of its weighted Laplacian.
 
-    Consumes ``walk.w``, over which the Laplacian is built.  The strengths
-    ``s`` take the place of the degrees, and their sum the place of 2E.
+    Consumes ``walk.w``, over which the Laplacian L = diag(s) - w is built.
+    The strengths ``s`` take the place of the degrees, and their sum the
+    place of 2E.  The spectral sum L⁺ = Σ_k v_k v_kᵀ / σ_k over the nonzero
+    Laplacian eigenpairs is evaluated in closed form, by one solve:
+    L + c 11ᵀ is positive definite on a connected support, with c = Σs / N²
+    (so its eigenvalue on 1, cN, is the mean strength), and its inverse is
+    L⁺ + 11ᵀ / (cN²) = L⁺ + 11ᵀ / Σs.  With gram = Σs·L⁺ and alpha = L⁺ s,
+    T_ij = alpha_i - alpha_j - gram_ij + gram_jj, the partial means are
+    N/(N-1)·(gram_jj - alpha_j) and the global mean is trace(gram)/(N-1).
     """
-    dec = sym_eig(walk.laplacian())
-    evals, evecs = dec.eigenvalues, dec.eigenvectors
-    n = evecs.shape[0]
-    sigma = evals[1:]
-    if np.any(sigma <= 0):
-        raise NotConnectedError("Laplacian has repeated zero eigenvalue: graph disconnected")
-    v = evecs[:, 1:]
+    if not _reaches_all(walk.w > 0):
+        raise NotConnectedError("weighted support disconnected: Laplacian has repeated zero eigenvalue")
+    n = walk.s.shape[0]
     total = float(walk.s.sum())
-    gk = walk.s @ v
-    ck = gk / sigma
-    ek = total / sigma
-    alpha = v @ ck
-    gram = (v * ek[None, :]) @ v.T
-    gdiag = np.diag(gram)
-    t = alpha[:, None] - alpha[None, :] - gram + gdiag[None, :]
+    lap = walk.laplacian()
+    lap += total / n**2
+    gram = np.linalg.solve(lap, np.eye(n))  # (L + c 11ᵀ)⁻¹, turned into Σs·L⁺ in place below
+    del lap
+    gram -= 1.0 / total
+    alpha = gram @ walk.s
+    gram *= total
+    gdiag = np.diag(gram).copy()
+    t = gram
+    t *= -1.0
+    t += gdiag[None, :]
+    t += alpha[:, None]
+    t -= alpha[None, :]
     np.fill_diagonal(t, 0.0)
     t_partial = n / (n - 1.0) * (gdiag - alpha)
-    t_global = total / (n - 1.0) * float(np.sum(1.0 / sigma))
+    t_global = float(gdiag.sum()) / (n - 1.0)
     return HittingReport(kind=walk.kind, t=t, t_partial=t_partial, t_global=t_global)
 
 

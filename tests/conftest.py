@@ -1,11 +1,14 @@
-"""Shared fixtures: the cross-module graph corpus used by the oracle checks."""
+"""Shared fixtures and reference oracles: the cross-module graph corpus and the hitting-time references."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from nbwalk import Graph, RoseSpec, gen_ba, gen_er, gen_ws, make_rose, validate
+from nbwalk import (
+    Graph, HittingReport, NotConnectedError, RoseSpec, gen_ba, gen_er, gen_ws, make_rose, sym_eig,
+    validate,
+)
 
 
 def complete_graph(n):
@@ -36,6 +39,32 @@ def absorbing_hitting(p):
         keep = np.arange(n) != j
         t[keep, j] = np.linalg.solve(eye - mat[np.ix_(keep, keep)], np.ones(n - 1))
     return t
+
+
+def eigen_hitting(walk):
+    """Reference hitting times from the eigendecomposition of the weighted Laplacian.
+
+    The paper's eigen-expansion, term by term over the nonzero eigenpairs
+    (σ_k, v_k) of L = diag(s) - w, with s in place of the degrees.
+    """
+    dec = sym_eig(walk.laplacian())
+    evals, evecs = dec.eigenvalues, dec.eigenvectors
+    n = evecs.shape[0]
+    sigma = evals[1:]
+    if np.any(sigma <= 0):
+        raise NotConnectedError("Laplacian has repeated zero eigenvalue: graph disconnected")
+    v = evecs[:, 1:]
+    total = float(walk.s.sum())
+    ck = (walk.s @ v) / sigma
+    ek = total / sigma
+    alpha = v @ ck
+    gram = (v * ek[None, :]) @ v.T
+    gdiag = np.diag(gram)
+    t = alpha[:, None] - alpha[None, :] - gram + gdiag[None, :]
+    np.fill_diagonal(t, 0.0)
+    t_partial = n / (n - 1.0) * (gdiag - alpha)
+    t_global = total / (n - 1.0) * float(np.sum(1.0 / sigma))
+    return HittingReport(kind=walk.kind, t=t, t_partial=t_partial, t_global=t_global)
 
 
 def _usable(g):

@@ -1,4 +1,4 @@
-"""Hitting times: spectral formulas against the fundamental-matrix and absorbing-solve oracles."""
+"""Hitting times: the pseudo-inverse route against the eigen-expansion, fundamental-matrix and absorbing oracles."""
 
 from __future__ import annotations
 
@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from nbwalk import (
-    InvalidParamsError, RoseSpec, TransitionMatrix, WalkKind, eq26_audit, hitting_linear,
-    hitting_merw_adjacency, hitting_spectral, hub_node, hub_report, make_rose, stationary_closed,
-    transition,
+    Graph, InvalidParamsError, NotConnectedError, ReversibleWalk, RoseSpec, TransitionMatrix,
+    WalkKind, eq26_audit, hitting_linear, hitting_merw_adjacency, hitting_spectral, hub_node,
+    hub_report, make_rose, potential, reversible_walk, stationary_closed, transition, walk_hitting,
 )
 
-from conftest import absorbing_hitting, complete_graph, cycle_graph, star_with_chord
+from conftest import absorbing_hitting, complete_graph, cycle_graph, eigen_hitting, star_with_chord
 
 
 def test_linear_complete_graph():
@@ -49,17 +49,34 @@ def test_linear_matches_absorbing_reference(corpus):
                 assert gap <= 1e-9 * ref.max(), (name, kind)
 
 
+def _count_linalg_calls(monkeypatch, *names):
+    """Count the calls to each named ``np.linalg`` function from here on."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
+
+
 def test_linear_is_one_solve(monkeypatch):
-    calls = []
-    solve = np.linalg.solve
+    p = transition(WalkKind.NBCRW, make_rose(RoseSpec(m=4)))
+    calls = _count_linalg_calls(monkeypatch, "solve")
+    hitting_linear(p)
+    assert calls["solve"] == 1
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
-    hitting_linear(transition(WalkKind.NBCRW, make_rose(RoseSpec(m=4))))
-    assert len(calls) == 1
+@pytest.mark.parametrize("kind", list(WalkKind))
+def test_walk_hitting_is_one_solve_and_no_eigh(monkeypatch, kind):
+    walk = reversible_walk(kind, make_rose(RoseSpec(m=4)))
+    calls = _count_linalg_calls(monkeypatch, "solve", "eigh", "eig")
+    walk_hitting(walk)
+    assert calls == {"solve": 1, "eigh": 0, "eig": 0}
 
 
 def _two_triangles():
@@ -75,6 +92,25 @@ def _two_triangles():
 def test_linear_refuses_reducible_chain(p):
     with pytest.raises(InvalidParamsError, match="reducible"):
         hitting_linear(TransitionMatrix(kind=WalkKind.TURW, p=p))
+
+
+def test_walk_hitting_refuses_disconnected_support():
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    with pytest.raises(NotConnectedError):
+        walk_hitting(ReversibleWalk(WalkKind.TURW, two_triangles, np.ones(6)))
+
+
+def test_walk_hitting_matches_eigen_expansion(corpus):
+    roses = [(f"rose-m{m}", make_rose(RoseSpec(m=m))) for m in range(2, 11)]
+    for name, g in corpus + roses:
+        for kind in WalkKind:
+            x = potential(kind, g)
+            ref = eigen_hitting(ReversibleWalk(kind, g, x))
+            rep = walk_hitting(ReversibleWalk(kind, g, x))
+            scale = 1.0 + ref.t.max()
+            assert np.max(np.abs(rep.t - ref.t)) <= 1e-9 * scale, (name, kind)
+            assert np.max(np.abs(rep.t_partial - ref.t_partial)) <= 1e-9 * scale, (name, kind)
+            assert abs(rep.t_global - ref.t_global) <= 1e-9 * scale, (name, kind)
 
 
 def test_spectral_turw_rose():
