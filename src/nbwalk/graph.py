@@ -20,7 +20,9 @@ class Graph:
 
     Nodes are 0-indexed internally; ``labels`` maps the internal id back to
     the id used in the input file.  ``arcs`` and ``degrees`` are computed
-    once; ``adjacency`` builds a fresh dense matrix on every access.
+    once, and the walks, the validation and the NB operators read the graph
+    from them.  ``adjacency`` builds a fresh dense matrix on every access, for
+    the dense eigensolves and the oracles only.
     """
 
     n: int
@@ -152,24 +154,30 @@ def parse_edge_list(text, index_base=0, delimiter=None):
     return g
 
 
+def reaches_all(n, src, dst):
+    """Whether node 0 reaches every one of ``n`` nodes along the arcs src[k] -> dst[k].
+
+    The arcs must be sorted by ``src``, so the out-arcs of node u are one
+    slice lo[u]:hi[u] of ``dst`` (CSR).  A stack DFS expands each node once
+    and pushes each arc once: O(N + E).
+    """
+    hi = np.bincount(src, minlength=n).cumsum().tolist()
+    lo = [0] + hi[:-1]
+    dst = dst.tolist()
+    seen = [False] * n
+    stack = [0]
+    pop = stack.pop
+    while stack:
+        u = pop()
+        if not seen[u]:
+            seen[u] = True
+            stack += dst[lo[u]:hi[u]]
+    return all(seen)
+
+
 def validate(g):
     """Connectivity/tree flags used to gate the walk constructions."""
-    adj = [[] for _ in range(g.n)]
-    for (u, v) in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * g.n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    connected = count == g.n
+    connected = reaches_all(g.n, *g.arcs)
     is_tree = connected and g.num_edges == g.n - 1
     degs = g.degrees
     return GraphValidation(

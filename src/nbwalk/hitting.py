@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParamsError, NotConnectedError
+from .errors import InvalidParamsError
+from .graph import reaches_all
 from .nbcentrality import nb_centrality  # noqa: F401  -- benchmarks/tests/test_tracer.py expects it
 from .spectral import sym_eig
 from .walks import WalkKind, adjacency_leading_eigvec, reversible_walk, transition
@@ -28,15 +29,6 @@ class HittingReport:
     method: str = "spectral"
 
 
-def _reaches_all(support):
-    """Whether node 0 reaches every node along the boolean support matrix."""
-    seen = frontier = np.eye(1, support.shape[0], dtype=bool)[0]
-    while frontier.any():
-        frontier = support[frontier].any(axis=0) & ~seen
-        seen = seen | frontier
-    return seen.all()
-
-
 def hitting_linear(p):
     """Oracle: every T_ij from one solve of the fundamental matrix G = (I - P + 1uᵀ)⁻¹, u = 1/n.
 
@@ -44,8 +36,9 @@ def hitting_linear(p):
     T_ij = (G_jj - G_ij) / π_j solves the absorbing system (I - P₋ⱼ) t = 1.
     """
     n = p.p.shape[0]
-    support = p.p > 0
-    if not (_reaches_all(support) and _reaches_all(support.T)):
+    src, dst = np.divmod(np.flatnonzero(p.p > 0), n)  # the arcs of P > 0, in row order
+    back = np.argsort(dst, kind="stable")
+    if not (reaches_all(n, src, dst) and reaches_all(n, dst[back], src[back])):
         raise InvalidParamsError("transition support not strongly connected: chain reducible")
     a = 1.0 / n - p.p
     a[np.diag_indices(n)] += 1.0
@@ -83,18 +76,17 @@ def hitting_merw_adjacency(g):
 def walk_hitting(walk):
     """Hitting times of a reversible walk from the pseudo-inverse of its weighted Laplacian.
 
-    Consumes ``walk.w``, over which the Laplacian L = diag(s) - w is built.
-    The strengths ``s`` take the place of the degrees, and their sum the
-    place of 2E.  The spectral sum L⁺ = Σ_k v_k v_kᵀ / σ_k over the nonzero
-    Laplacian eigenpairs is evaluated in closed form, by one solve:
+    The dense Laplacian L = diag(s) - W is scattered from the walk's arcs,
+    which the walk checked to be connected where it was built.  The strengths
+    ``s`` take the place of the degrees, and their sum the place of 2E.  The
+    spectral sum L⁺ = Σ_k v_k v_kᵀ / σ_k over the nonzero Laplacian
+    eigenpairs is evaluated in closed form, by one solve:
     L + c 11ᵀ is positive definite on a connected support, with c = Σs / N²
     (so its eigenvalue on 1, cN, is the mean strength), and its inverse is
     L⁺ + 11ᵀ / (cN²) = L⁺ + 11ᵀ / Σs.  With gram = Σs·L⁺ and alpha = L⁺ s,
     T_ij = alpha_i - alpha_j - gram_ij + gram_jj, the partial means are
     N/(N-1)·(gram_jj - alpha_j) and the global mean is trace(gram)/(N-1).
     """
-    if not _reaches_all(walk.w > 0):
-        raise NotConnectedError("weighted support disconnected: Laplacian has repeated zero eigenvalue")
     n = walk.s.shape[0]
     total = float(walk.s.sum())
     lap = walk.laplacian()

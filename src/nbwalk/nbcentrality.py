@@ -56,20 +56,9 @@ def build_nb_matrix(g):
     """Entry (i->j, k->l) is 1 iff j == k and i != l."""
     if g.num_edges < 1:
         raise InvalidParamsError("graph has no edges")
-    idx = directed_edges(g)
-    pos = {e: k for k, e in enumerate(idx)}
-    m = len(idx)
-    b = np.zeros((m, m))
-    adj = [[] for _ in range(g.n)]
-    for (u, v) in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for (i, j) in idx:
-        row = pos[(i, j)]
-        for l in adj[j]:
-            if l != i:
-                b[row, pos[(j, l)]] = 1.0
-    return NbMatrix(edge_index=idx, b=b)
+    src, dst = g.arcs
+    b = (dst[:, None] == src[None, :]) & (src[:, None] != dst[None, :])
+    return NbMatrix(edge_index=directed_edges(g), b=b.astype(float))
 
 
 def build_m_matrix(g):

@@ -1,7 +1,8 @@
 """Transition matrices, stationary distributions, and the IPR metric.
 
-Every walk is the reversible walk on w = A∘xxᵀ for a node potential x: x = 1
+Every walk is the reversible walk on W = A∘xxᵀ for a node potential x: x = 1
 (TURW), the leading adjacency eigenvector (MERW) or the NB centrality (NBCRW).
+W is held on the graph's 2E arcs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParamsError, NotConnectedError, ZeroDenominatorError
-from .graph import validate
+from .graph import reaches_all, validate
 from .nbcentrality import nb_centrality
 from .spectral import _sign_fix, sym_eig
 
@@ -37,9 +38,13 @@ class StationaryDistribution:
 
 
 class ReversibleWalk:
-    """The walk on w = A∘xxᵀ for a nonnegative node potential ``x``, with strengths s = w 1.
+    """The walk on W = A∘xxᵀ for a nonnegative node potential ``x``, held on the arcs of ``g``.
 
-    ``w`` is fresh for each walk; ``transition`` and ``laplacian`` are built over it.
+    ``w[k] = x[src[k]] x[dst[k]]`` over the 2E arcs (src, dst) = ``g.arcs``,
+    and the strengths are s = W 1.  No N×N array is kept: ``transition`` and
+    ``laplacian`` each scatter ``w`` onto a fresh dense matrix.  A disconnected
+    graph is refused first, then a zero strength; every s_i > 0 needs every
+    x_i > 0, so the support of W is then the connected graph itself.
     """
 
     def __init__(self, kind, g, x):
@@ -47,28 +52,33 @@ class ReversibleWalk:
         x = np.asarray(x, dtype=float)
         if np.any(x < 0):
             raise InvalidParamsError("negative potential entry")
-        self.w = g.adjacency
-        self.w *= x[:, None]
-        self.w *= x[None, :]
-        self.s = self.w.sum(axis=1)
+        self.src, self.dst = g.arcs
+        if not reaches_all(g.n, self.src, self.dst):
+            raise NotConnectedError("graph is not connected")
+        self.w = x[self.src] * x[self.dst]
+        self.s = np.bincount(self.src, weights=self.w, minlength=g.n)
         bad = np.flatnonzero(self.s <= 0.0)
         if bad.size:
             raise ZeroDenominatorError(int(bad[0]))
+
+    def _dense(self, values):
+        """The N×N matrix with ``values`` on the arcs and zeros elsewhere."""
+        n = self.s.shape[0]
+        m = np.zeros((n, n))
+        m[self.src, self.dst] = values
+        return m
 
     def stationary(self):
         """pi = s / sum(s); pi_i p_ij = w_ij / sum(s) is symmetric, so detailed balance holds."""
         return StationaryDistribution(kind=self.kind, pi=self.s / self.s.sum())
 
     def transition(self):
-        """p_ij = w_ij / s_i, built in place over ``w``, which the walk then drops."""
-        p, self.w = self.w, None
-        p /= self.s[:, None]
-        return TransitionMatrix(kind=self.kind, p=p)
+        """p_ij = w_ij / s_i."""
+        return TransitionMatrix(kind=self.kind, p=self._dense(self.w / self.s[self.src]))
 
     def laplacian(self):
-        """diag(s) - w, built in place over ``w``, which the walk then drops."""
-        lap, self.w = self.w, None
-        lap *= -1.0
+        """diag(s) - W."""
+        lap = self._dense(-self.w)
         lap[np.diag_indices_from(lap)] = self.s
         return lap
 
@@ -85,8 +95,6 @@ def potential(kind, g):
     """Node potential x of a walk kind: 1, adjacency eigenvector psi_1 or NB centrality."""
     kind = WalkKind(kind)
     if kind is WalkKind.TURW:
-        if not validate(g).connected:
-            raise NotConnectedError("graph is not connected")
         return np.ones(g.n)
     if kind is WalkKind.MERW:
         return adjacency_leading_eigvec(g)[1]

@@ -17,6 +17,14 @@ def path_graph(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def dense_weights(walk):
+    """The N×N weight matrix W, scattered from the walk's arcs."""
+    n = walk.s.shape[0]
+    w = np.zeros((n, n))
+    w[walk.src, walk.dst] = walk.w
+    return w
+
+
 def test_parse_triangle():
     g = parse_edge_list("0 1\n1 2\n2 0")
     assert g.n == 3
@@ -138,7 +146,7 @@ def test_laplacian_zero_multiplicity_counts_components():
 
 def test_weighted_from_centrality_uniform_triangle():
     walk = ReversibleWalk(WalkKind.TURW, complete_graph(3), np.ones(3))
-    assert np.allclose(walk.w, complete_graph(3).adjacency)
+    assert np.allclose(dense_weights(walk), complete_graph(3).adjacency)
     assert np.allclose(walk.s, [2.0, 2.0, 2.0])
     assert walk.s.sum() == pytest.approx(6.0)
 
@@ -146,8 +154,10 @@ def test_weighted_from_centrality_uniform_triangle():
 def test_weighted_from_centrality_path_values():
     g = path_graph(3)
     walk = ReversibleWalk(WalkKind.NBCRW, g, np.array([1.0, 2.0, 3.0]))
-    assert walk.w[0, 1] == pytest.approx(2.0)
-    assert walk.w[1, 2] == pytest.approx(6.0)
+    w = dense_weights(walk)
+    assert w[0, 1] == w[1, 0] == pytest.approx(2.0)
+    assert w[1, 2] == w[2, 1] == pytest.approx(6.0)
+    assert w[0, 2] == w[2, 0] == 0.0
     assert np.allclose(walk.s, [2.0, 8.0, 6.0])
     assert walk.s.sum() == pytest.approx(16.0)
 
@@ -167,7 +177,6 @@ def test_weighted_laplacian_path_values():
     walk = ReversibleWalk(WalkKind.NBCRW, g, np.array([1.0, 2.0, 3.0]))
     expected = np.array([[2.0, -2.0, 0.0], [-2.0, 8.0, -6.0], [0.0, -6.0, 6.0]])
     assert np.allclose(walk.laplacian(), expected)
-    assert walk.w is None
 
 
 def test_weighted_laplacian_matches_unweighted_on_uniform():
@@ -175,10 +184,24 @@ def test_weighted_laplacian_matches_unweighted_on_uniform():
     assert np.allclose(reversible_walk(WalkKind.TURW, g).laplacian(), laplacian(g))
 
 
+def test_walk_outputs_do_not_depend_on_call_order(corpus):
+    for name, g in corpus[:10]:
+        x = np.linspace(0.5, 1.5, g.n)
+        walk = ReversibleWalk(WalkKind.NBCRW, g, x)
+        pi = walk.stationary().pi
+        p = walk.transition().p
+        lap = walk.laplacian()
+        p_again = walk.transition().p
+        assert np.array_equal(pi, ReversibleWalk(WalkKind.NBCRW, g, x).stationary().pi), name
+        assert np.array_equal(p, ReversibleWalk(WalkKind.NBCRW, g, x).transition().p), name
+        assert np.array_equal(lap, ReversibleWalk(WalkKind.NBCRW, g, x).laplacian()), name
+        assert np.array_equal(p_again, p) and p_again is not p, name
+
+
 def test_strengths_equal_weight_row_sums(corpus):
     for name, g in corpus[:10]:
         walk = ReversibleWalk(WalkKind.NBCRW, g, np.linspace(0.5, 1.5, g.n))
-        assert np.allclose(walk.s, walk.w.sum(axis=1)), name
+        assert np.allclose(walk.s, dense_weights(walk).sum(axis=1)), name
 
 
 def test_graph_rejects_reversed_edge():

@@ -97,6 +97,8 @@ def test_linear_refuses_reducible_chain(p):
 def test_walk_hitting_refuses_disconnected_support():
     two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     with pytest.raises(NotConnectedError):
+        ReversibleWalk(WalkKind.TURW, two_triangles, np.ones(6))
+    with pytest.raises(NotConnectedError):
         walk_hitting(ReversibleWalk(WalkKind.TURW, two_triangles, np.ones(6)))
 
 

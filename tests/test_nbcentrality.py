@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from nbwalk import (
-    Graph, InvalidParamsError, NotConnectedError, RoseSpec, TreeGraphError,
+    Graph, InvalidParamsError, NotConnectedError, RoseSpec, TreeGraphError, WalkKind,
     build_m_matrix, build_nb_matrix, gen_ba, gen_er, leading_eig, make_rose, nb_centrality,
-    rose4_oracle, verify_b_vs_m,
+    reversible_walk, rose4_oracle, verify_b_vs_m,
 )
 from nbwalk.nbcentrality import _m_operator
 
@@ -122,17 +122,36 @@ def test_solver_diagnostics():
     assert dense.kappa == pytest.approx(theta_kappa((120, 120, 1)), abs=1e-12)
 
 
-def test_centrality_memory_is_linear_in_edges():
-    # The dense M of BA(20000, 2) would take 12.8 GB; the operator path
-    # needs a few arrays of length 2N and 2E.
-    g = gen_ba(20000, 2, 1)
+@pytest.fixture(scope="module")
+def ba20000():
+    return gen_ba(20000, 2, 1)
+
+
+def _traced_peak(func):
+    """Return value of ``func()`` and the tracemalloc peak it reached, in bytes."""
     tracemalloc.start()
     try:
-        nc = nb_centrality(g)
+        out = func()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def test_centrality_memory_is_linear_in_edges(ba20000):
+    # The dense M of BA(20000, 2) would take 12.8 GB; the operator path
+    # needs a few arrays of length 2N and 2E.
+    nc, peak = _traced_peak(lambda: nb_centrality(ba20000))
     assert nc.path == "power"
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("kind", [WalkKind.TURW, WalkKind.NBCRW])
+def test_walk_stationary_memory_is_linear_in_edges(ba20000, kind):
+    # A dense W of BA(20000, 2) would take 3.2 GB; the walk holds 2E arc
+    # weights and N strengths.
+    sd, peak = _traced_peak(lambda: reversible_walk(kind, ba20000).stationary())
+    assert sd.pi.sum() == pytest.approx(1.0)
     assert peak < 32 * 2**20
 
 
