@@ -8,8 +8,8 @@ centrality biased walk, with cross-validating oracles.
 __version__ = "0.1.0"
 
 from .errors import (
-    ConvergenceFailureError, InvalidParamsError, NbwalkError, NotConnectedError,
-    ParseError, TreeGraphError, ZeroDenominatorError,
+    ConvergenceFailureError, IllConditionedError, InvalidParamsError, NbwalkError,
+    NotConnectedError, ParseError, TreeGraphError, ZeroDenominatorError,
 )
 from .graph import Graph, GraphValidation, laplacian, parse_edge_list, validate
 from .hitting import (

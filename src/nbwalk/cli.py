@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .errors import InvalidParamsError, NbwalkError, ParseError
+from .errors import InvalidParamsError, NbwalkError, NotConnectedError, ParseError
 from .graph import parse_edge_list
 from .hitting import eq26_audit, hitting_linear, hitting_spectral, hub_node, walk_hitting
 from .models import (
@@ -166,6 +166,11 @@ def _load_graph(args):
         raise ParseError(f"input is not UTF-8: {exc.reason} at byte {exc.start}")
     delimiter = "," if args.delimiter == "comma" else None
     g = parse_edge_list(text, index_base=args.index_base, delimiter=delimiter)
+    # Every command needs a connected graph.  Refuse too few edges before any
+    # O(N) array is made: a huge node id would otherwise exhaust memory first.
+    if g.num_edges < g.n - 1:
+        raise NotConnectedError(
+            f"graph is not connected: {g.num_edges} edges cannot connect {g.n} nodes")
     return g, hashlib.sha256(raw).hexdigest()
 
 

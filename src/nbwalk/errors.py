@@ -68,3 +68,10 @@ class InvalidParamsError(NbwalkError):
 
     code = "invalid_params"
     exit_code = 6
+
+
+class IllConditionedError(NbwalkError):
+    """A matrix that is nonsingular in exact arithmetic is singular in floating point."""
+
+    code = "ill_conditioned"
+    exit_code = 7

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,21 +20,24 @@ class Graph:
     """Simple undirected graph stored as its sorted edge list.
 
     Nodes are 0-indexed internally; ``labels`` maps the internal id back to
-    the id used in the input file.  ``arcs`` and ``degrees`` are computed
-    once, and the walks, the validation and the NB operators read the graph
-    from them.  ``adjacency`` builds a fresh dense matrix on every access, for
-    the dense eigensolves and the oracles only.
+    the id used in the input file (a ``range`` when the ids are contiguous,
+    so a huge node count costs no memory here).  ``arcs`` and ``degrees``
+    are computed once, and the walks, the validation and the NB operators
+    read the graph from them.  ``adjacency`` builds a fresh dense matrix on
+    every access, for the dense eigensolves and the oracles only.
     """
 
     n: int
     edges: tuple  # strictly increasing (u, v) pairs with u < v
-    labels: tuple = None
+    labels: range | tuple = None
 
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParamsError(f"node count must be >= 1, got {self.n}")
+        if self.n > sys.maxsize:
+            raise InvalidParamsError(f"node count {self.n} is beyond any array index")
         if self.labels is None:
-            object.__setattr__(self, "labels", tuple(range(self.n)))
+            object.__setattr__(self, "labels", range(self.n))
         if len(self.labels) != self.n:
             raise InvalidParamsError(f"{len(self.labels)} labels for n={self.n} nodes")
         prev = None
@@ -148,7 +152,7 @@ def parse_edge_list(text, index_base=0, delimiter=None):
     n = header_n if header_n is not None else max_id + 1
     if max_id is not None and max_id >= n:
         raise ParseError(f"node id {max_id + index_base} out of range for %N {n}")
-    g = Graph.from_edges(n, raw_edges, labels=tuple(range(index_base, n + index_base)))
+    g = Graph.from_edges(n, raw_edges, labels=range(index_base, n + index_base))
     if g.num_edges < len(raw_edges):
         logger.warning("%d duplicate edges collapsed", len(raw_edges) - g.num_edges)
     return g

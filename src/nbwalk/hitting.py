@@ -2,31 +2,40 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import InvalidParamsError
+from .errors import IllConditionedError, InvalidParamsError
 from .graph import reaches_all
 from .nbcentrality import nb_centrality  # noqa: F401  -- benchmarks/tests/test_tracer.py expects it
 from .spectral import sym_eig
 from .walks import WalkKind, adjacency_leading_eigvec, reversible_walk, transition
 
 
-@dataclass(frozen=True, eq=False)
 class HittingReport:
     """Pairwise hitting times plus partial and global means.
 
     ``t_partial`` and ``t_global`` are evaluated from their own formulas, not
     aggregated from ``t``; agreement between the two routes is a correctness
-    check, not a construction.
+    check, not a construction.  ``t`` is given as an array or as a function
+    of no arguments that forms it; the function runs on the first read of
+    ``t``, and its result is kept.
     """
 
-    kind: WalkKind
-    t: np.ndarray = field(repr=False)
-    t_partial: np.ndarray = field(repr=False)
-    t_global: float = 0.0
-    method: str = "spectral"
+    def __init__(self, kind, t, t_partial, t_global=0.0, method="spectral"):
+        self.kind = kind
+        self._t = t
+        self.t_partial = t_partial
+        self.t_global = t_global
+        self.method = method
+
+    @property
+    def t(self):
+        if callable(self._t):
+            self._t = self._t()
+        return self._t
+
+    def __repr__(self):
+        return f"HittingReport(kind={self.kind!r}, t_global={self.t_global!r}, method={self.method!r})"
 
 
 def hitting_linear(p):
@@ -73,6 +82,26 @@ def hitting_merw_adjacency(g):
     return HittingReport(kind=WalkKind.MERW, t=t, t_partial=t_partial, t_global=t_global, method="spectral")
 
 
+BLOCK = 64  # diagonal blocks of at most this many rows are inverted by LAPACK
+
+
+def _invert_lower(r):
+    """Overwrite the lower-triangular ``r`` with its inverse, by 2×2 blocks.
+
+    [[A, 0], [B, C]]⁻¹ = [[A⁻¹, 0], [−C⁻¹ B A⁻¹, C⁻¹]]: A and C are inverted
+    in place first, so every step above the base blocks is a matmul.
+    """
+    n = r.shape[0]
+    if n <= BLOCK:
+        r[...] = np.tril(np.linalg.inv(r))
+        return
+    h = n // 2
+    _invert_lower(r[:h, :h])
+    _invert_lower(r[h:, h:])
+    r[h:, :h] = r[h:, h:] @ (r[h:, :h] @ r[:h, :h])
+    r[h:, :h] *= -1.0
+
+
 def walk_hitting(walk):
     """Hitting times of a reversible walk from the pseudo-inverse of its weighted Laplacian.
 
@@ -80,32 +109,44 @@ def walk_hitting(walk):
     which the walk checked to be connected where it was built.  The strengths
     ``s`` take the place of the degrees, and their sum the place of 2E.  The
     spectral sum L⁺ = Σ_k v_k v_kᵀ / σ_k over the nonzero Laplacian
-    eigenpairs is evaluated in closed form, by one solve:
-    L + c 11ᵀ is positive definite on a connected support, with c = Σs / N²
-    (so its eigenvalue on 1, cN, is the mean strength), and its inverse is
-    L⁺ + 11ᵀ / (cN²) = L⁺ + 11ᵀ / Σs.  With gram = Σs·L⁺ and alpha = L⁺ s,
-    T_ij = alpha_i - alpha_j - gram_ij + gram_jj, the partial means are
-    N/(N-1)·(gram_jj - alpha_j) and the global mean is trace(gram)/(N-1).
+    eigenpairs is evaluated in closed form: L + c 11ᵀ is positive definite
+    on a connected support, with c = Σs / N² (so its eigenvalue on 1, cN, is
+    the mean strength), and its inverse is L⁺ + 11ᵀ / (cN²) = L⁺ + 11ᵀ / Σs.
+    With the Cholesky factor L + c 11ᵀ = R Rᵀ that inverse is R⁻ᵀR⁻¹, so
+    its diagonal is the squared column norms of R⁻¹.  With gram = Σs·L⁺ and
+    alpha = L⁺ s = R⁻ᵀ(R⁻¹ s) − 1, T_ij = alpha_i - alpha_j - gram_ij + gram_jj,
+    the partial means are N/(N-1)·(gram_jj - alpha_j) and the global mean
+    is trace(gram)/(N-1); the means cost O(N²) once R⁻¹ is known, and the
+    pairwise matrix is formed only when ``t`` is read.
     """
     n = walk.s.shape[0]
     total = float(walk.s.sum())
     lap = walk.laplacian()
     lap += total / n**2
-    gram = np.linalg.solve(lap, np.eye(n))  # (L + c 11ᵀ)⁻¹, turned into Σs·L⁺ in place below
+    try:
+        rinv = np.linalg.cholesky(lap)  # R, inverted in place below
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(
+            f"{walk.kind.value} walk: the weighted Laplacian is numerically singular "
+            "(its Cholesky factorisation failed)") from exc
     del lap
-    gram -= 1.0 / total
-    alpha = gram @ walk.s
-    gram *= total
-    gdiag = np.diag(gram).copy()
-    t = gram
-    t *= -1.0
-    t += gdiag[None, :]
-    t += alpha[:, None]
-    t -= alpha[None, :]
-    np.fill_diagonal(t, 0.0)
+    _invert_lower(rinv)
+    gdiag = (np.einsum("ij,ij->j", rinv, rinv) - 1.0 / total) * total
+    alpha = rinv.T @ (rinv @ walk.s) - 1.0
+
+    def pairwise():
+        t = rinv.T @ rinv  # (L + c 11ᵀ)⁻¹, turned into T in place
+        t -= 1.0 / total
+        t *= -total
+        t += gdiag[None, :]
+        t += alpha[:, None]
+        t -= alpha[None, :]
+        np.fill_diagonal(t, 0.0)
+        return t
+
     t_partial = n / (n - 1.0) * (gdiag - alpha)
     t_global = float(gdiag.sum()) / (n - 1.0)
-    return HittingReport(kind=walk.kind, t=t, t_partial=t_partial, t_global=t_global)
+    return HittingReport(kind=walk.kind, t=pairwise, t_partial=t_partial, t_global=t_global)
 
 
 def hitting_spectral(kind, g):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -82,6 +84,65 @@ def test_disconnected_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert json.loads(captured.err)["error"] == "not_connected"
+
+
+def triangle_with_path_file(tmp_path, length):
+    """A triangle 0-1-2 with the pendant path 2-3-...-(length + 2)."""
+    edges = ["0 1", "1 2", "0 2"] + [f"{i} {i + 1}" for i in range(2, length + 2)]
+    return write_graph(tmp_path, f"tripath{length}.txt", "\n".join(edges) + "\n")
+
+
+@pytest.mark.parametrize("argv", [["compare"], ["hitting", "--walk", "merw"]],
+                         ids=["compare", "hitting-merw"])
+def test_numerically_singular_laplacian_is_ill_conditioned(tmp_path, capsys, argv):
+    # MERW's psi_1 underflows along the 80-node path, so the weighted
+    # Laplacian is singular in floating point.
+    path = triangle_with_path_file(tmp_path, 80)
+    code = main([argv[0], path, *argv[1:]])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert code == 7
+    err = json.loads(lines[0])
+    assert err["error"] == "ill_conditioned"
+    assert "merw" in err["message"]
+
+
+@pytest.mark.parametrize("walk", ["turw", "nbcrw"])
+def test_other_walks_on_the_long_path_succeed(tmp_path, capsys, walk):
+    out = run_json(capsys, ["hitting", triangle_with_path_file(tmp_path, 80), "--walk", walk])
+    assert len(out["reports"][0]["t_partial"]) == 83
+
+
+HUGE_NODE_IDS = {
+    "huge-id": ("stationary", "5000000000 1\n1 2\n2 0\n0 1\n", 3, "not_connected"),
+    "huge-header": ("hitting", "%N 3000000000\n0 1\n1 2\n2 0\n", 3, "not_connected"),
+    "id-beyond-any-index": ("compare", "100000000000000000000 1\n1 2\n2 0\n0 1\n", 6,
+                            "invalid_params"),
+}
+
+
+@pytest.mark.parametrize("command,text,exit_code,error", HUGE_NODE_IDS.values(),
+                         ids=HUGE_NODE_IDS.keys())
+def test_huge_node_ids_fail_before_any_allocation(tmp_path, command, text, exit_code, error):
+    # A child process with 2 GB of address space: an O(N) allocation for the
+    # huge node count fails fast there instead of exhausting the machine.
+    path = write_graph(tmp_path, "huge.txt", text)
+    limit = 2 << 30
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from nbwalk.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script, command, path], env=env,
+                          capture_output=True, text=True, timeout=60)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert proc.returncode == exit_code, proc.stderr
+    assert json.loads(lines[0])["error"] == error
+    assert proc.stdout == ""
 
 
 def test_stationary_all_walks(tmp_path, capsys):

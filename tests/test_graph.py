@@ -36,7 +36,7 @@ def test_parse_one_based_duplicate_collapses():
     g = parse_edge_list("1 2\n2 1", index_base=1)
     assert g.n == 2
     assert g.num_edges == 1
-    assert g.labels == (1, 2)
+    assert g.labels == range(1, 3)
 
 
 def test_parse_rejects_self_loop():
@@ -223,6 +223,14 @@ def test_graph_rejects_unsorted_edges():
 def test_graph_rejects_wrong_label_count():
     with pytest.raises(InvalidParamsError, match="labels"):
         Graph(n=3, edges=((0, 1),), labels=(0, 1))
+
+
+def test_contiguous_labels_are_a_range_at_any_node_count():
+    g = parse_edge_list("%N 3000000000\n0 1\n1 2\n2 0\n", index_base=0)
+    assert g.labels == range(3_000_000_000)
+    assert Graph(n=5_000_000_000, edges=((0, 1),)).labels == range(5_000_000_000)
+    with pytest.raises(InvalidParamsError, match="array index"):
+        Graph(n=2**64, edges=((0, 1),))
 
 
 def test_fingerprint_distinguishes_graphs():

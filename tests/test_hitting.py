@@ -8,8 +8,10 @@ import pytest
 from nbwalk import (
     Graph, InvalidParamsError, NotConnectedError, ReversibleWalk, RoseSpec, TransitionMatrix,
     WalkKind, eq26_audit, hitting_linear, hitting_merw_adjacency, hitting_spectral, hub_node,
-    hub_report, make_rose, potential, reversible_walk, stationary_closed, transition, walk_hitting,
+    gen_ba, hub_report, make_rose, potential, reversible_walk, stationary_closed, transition,
+    walk_hitting,
 )
+from nbwalk.hitting import _invert_lower
 
 from conftest import absorbing_hitting, complete_graph, cycle_graph, eigen_hitting, star_with_chord
 
@@ -71,12 +73,38 @@ def test_linear_is_one_solve(monkeypatch):
     assert calls["solve"] == 1
 
 
+@pytest.mark.parametrize("graph", [make_rose(RoseSpec(m=4)), gen_ba(150, 2, 3)],
+                         ids=["rose4", "ba150"])
 @pytest.mark.parametrize("kind", list(WalkKind))
-def test_walk_hitting_is_one_solve_and_no_eigh(monkeypatch, kind):
-    walk = reversible_walk(kind, make_rose(RoseSpec(m=4)))
-    calls = _count_linalg_calls(monkeypatch, "solve", "eigh", "eig")
-    walk_hitting(walk)
-    assert calls == {"solve": 1, "eigh": 0, "eig": 0}
+def test_walk_hitting_is_one_cholesky_and_no_solve(monkeypatch, kind, graph):
+    walk = reversible_walk(kind, graph)
+    calls = _count_linalg_calls(monkeypatch, "cholesky", "solve", "eigh", "eig", "lstsq")
+    walk_hitting(walk).t
+    assert calls == {"cholesky": 1, "solve": 0, "eigh": 0, "eig": 0, "lstsq": 0}
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 300])
+def test_invert_lower_is_the_inverse(n):
+    b = np.random.default_rng(n).standard_normal((n, n))
+    r = np.linalg.cholesky(b @ b.T / n + np.eye(n))
+    inv = r.copy()
+    _invert_lower(inv)
+    assert np.max(np.abs(r @ inv - np.eye(n))) <= 1e-13
+    assert not np.triu(inv, 1).any()
+
+
+def test_pairwise_matrix_on_read_leaves_the_means_alone():
+    walk = reversible_walk(WalkKind.NBCRW, gen_ba(150, 2, 3))
+    means_first = walk_hitting(walk)
+    t_partial, t_global = means_first.t_partial.copy(), means_first.t_global
+    t_after = means_first.t
+    matrix_first = walk_hitting(walk)
+    t_before = matrix_first.t
+    assert np.array_equal(matrix_first.t_partial, t_partial)
+    assert matrix_first.t_global == t_global
+    assert np.array_equal(means_first.t_partial, t_partial)
+    assert np.array_equal(t_after, t_before)
+    assert matrix_first.t is t_before and means_first.t is t_after
 
 
 def _two_triangles():
@@ -212,8 +240,6 @@ def test_hub_report_rose_m5():
 
 
 def test_hub_ordering_on_ba_instance():
-    from nbwalk import gen_ba
-
     g = gen_ba(1000, 2, 1)
     t_hub = {kind: hub_report(g, kind)["t_hub"] for kind in WalkKind}
     assert t_hub[WalkKind.TURW] > t_hub[WalkKind.NBCRW] > t_hub[WalkKind.MERW]
