@@ -14,15 +14,15 @@ from .errors import (
 from .graph import Graph, GraphValidation, laplacian, parse_edge_list, validate
 from .hitting import (
     HittingReport, eq26_audit, hitting_linear, hitting_merw_adjacency, hitting_spectral, hub_node,
-    hub_report, walk_hitting,
+    walk_hitting,
 )
 from .models import (
     RoseOracle4, RoseSpec, corrected_exponent, gen_ba, gen_er, gen_ws, loglog_slope, make_rose,
     rose4_oracle, scaling_table,
 )
-from .nbcentrality import NbCentrality, NbMatrix, build_m_matrix, build_nb_matrix, nb_centrality, verify_b_vs_m
+from .nbcentrality import NbCentrality, build_m_matrix, build_nb_matrix, nb_centrality, verify_b_vs_m
 from .simulate import SimConfig, SimResult, simulate_hitting, simulate_stationary
-from .spectral import LeadingEigenpair, SpectralDecomposition, leading_eig, sym_eig
+from .spectral import LeadingEigenpair, leading_eig, sym_eig
 from .walks import (
     ReversibleWalk, StationaryDistribution, TransitionMatrix, WalkKind, detailed_balance_residual,
     ipr, potential, reversible_walk, stationary_closed, stationary_generic,

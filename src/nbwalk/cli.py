@@ -373,15 +373,16 @@ def cmd_scaling(args):
 
 def cmd_simulate(args):
     g, digest = _load_graph(args)
-    p = transition(args.walk, g)
+    walk = reversible_walk(args.walk, g)
     cfg = SimConfig(seed=args.seed, trials=args.trials, max_steps=args.max_steps,
                     burn_in=args.burn_in)
     if args.mode == "stationary":
-        result = simulate_stationary(p, cfg)
+        result = simulate_stationary(walk, cfg)
     else:
         if args.source is None or args.target is None:
             raise InvalidParamsError("hitting mode needs --source and --target")
-        result = simulate_hitting(p, _node_index(g, args.source), _node_index(g, args.target), cfg)
+        source, target = _node_index(g, args.source), _node_index(g, args.target)
+        result = simulate_hitting(walk, source, target, cfg)
     payload = {
         "mode": result.mode,
         "walk": args.walk,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import sys
 from dataclasses import dataclass
@@ -81,13 +80,6 @@ class Graph:
         d.setflags(write=False)
         return d
 
-    def fingerprint(self):
-        h = hashlib.sha256()
-        h.update(str(self.n).encode())
-        for (u, v) in self.edges:
-            h.update(f"{u},{v};".encode())
-        return h.hexdigest()
-
     @staticmethod
     def from_edges(n, edges, labels=None):
         """Build a graph from an iterable of (u, v) pairs, collapsing duplicates."""
@@ -99,9 +91,6 @@ class Graph:
 class GraphValidation:
     connected: bool
     is_tree: bool
-    min_degree: int
-    node_count: int
-    edge_count: int
 
 
 def parse_edge_list(text, index_base=0, delimiter=None):
@@ -182,15 +171,7 @@ def reaches_all(n, src, dst):
 def validate(g):
     """Connectivity/tree flags used to gate the walk constructions."""
     connected = reaches_all(g.n, *g.arcs)
-    is_tree = connected and g.num_edges == g.n - 1
-    degs = g.degrees
-    return GraphValidation(
-        connected=connected,
-        is_tree=is_tree,
-        min_degree=int(degs.min()) if g.n else 0,
-        node_count=g.n,
-        edge_count=g.num_edges,
-    )
+    return GraphValidation(connected=connected, is_tree=connected and g.num_edges == g.n - 1)
 
 
 def laplacian(g):

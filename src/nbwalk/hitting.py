@@ -65,10 +65,10 @@ def hitting_linear(p):
 def hitting_merw_adjacency(g):
     """Oracle: maximal-entropy-walk hitting times from the adjacency spectrum."""
     lam1, psi1 = adjacency_leading_eigvec(g)
-    dec = sym_eig(g.adjacency)
+    evals, evecs = sym_eig(g.adjacency)
     n = g.n
-    lams = dec.eigenvalues[:-1]
-    psis = dec.eigenvectors[:, :-1]
+    lams = evals[:-1]
+    psis = evecs[:, :-1]
     rk = lam1 / (lam1 - lams)
     hk = (psis / psi1[:, None]).sum(axis=0)
     gram = (psis * rk[None, :]) @ psis.T
@@ -157,13 +157,6 @@ def hitting_spectral(kind, g):
 def hub_node(g):
     """Max-degree node; ties resolve to the smallest label."""
     return int(np.argmax(g.degrees))
-
-
-def hub_report(g, kind):
-    """Partial mean hitting time at the max-degree node."""
-    report = hitting_spectral(kind, g)
-    hub = hub_node(g)
-    return {"hub_node": hub, "t_hub": float(report.t_partial[hub])}
 
 
 def eq26_audit(g):

@@ -15,18 +15,6 @@ MAX_DIRECTED_EDGES = 400
 
 
 @dataclass(frozen=True, eq=False)
-class NbMatrix:
-    """Explicit 2Ex2E non-backtracking matrix.
-
-    ``edge_index`` lists the directed edges (i, j) in lexicographic order;
-    row/column k of ``b`` corresponds to ``edge_index[k]``.
-    """
-
-    edge_index: tuple
-    b: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True, eq=False)
 class NbCentrality:
     """Leading eigenvalue kappa with outgoing (x) and incoming (y) centralities.
 
@@ -46,19 +34,16 @@ class NbCentrality:
     polished: bool = False
 
 
-def directed_edges(g):
-    """All 2E directed edges in lexicographic order."""
-    src, dst = g.arcs
-    return tuple(zip(src.tolist(), dst.tolist()))
-
-
 def build_nb_matrix(g):
-    """Entry (i->j, k->l) is 1 iff j == k and i != l."""
+    """The 2Ex2E non-backtracking matrix: entry (i->j, k->l) is 1 iff j == k and i != l.
+
+    Rows and columns follow the arcs of ``g.arcs``.
+    """
     if g.num_edges < 1:
         raise InvalidParamsError("graph has no edges")
     src, dst = g.arcs
     b = (dst[:, None] == src[None, :]) & (src[:, None] != dst[None, :])
-    return NbMatrix(edge_index=directed_edges(g), b=b.astype(float))
+    return b.astype(float)
 
 
 def build_m_matrix(g):
@@ -147,8 +132,7 @@ def _leading_m_pair(g):
     on sparse graphs, that ratio grows with s, so the smallest safe shift is used.
     """
     n = g.n
-    pair = leading_eig(_m_operator(g), shift=1.0, size=2 * n,
-                       dense=lambda: build_m_matrix(g))
+    pair = leading_eig(_m_operator(g), size=2 * n, shift=1.0, dense=lambda: build_m_matrix(g))
     kappa, z = pair.value, pair.vector
     if kappa <= 1e-9 or _stacked_gap(kappa, z, n) > 1e-4:
         raise ConvergenceFailureError(
@@ -222,14 +206,17 @@ def nb_centrality(g):
 def verify_b_vs_m(g):
     """Cross-check: leading eigenvalue of explicit B vs the M reduction.
 
-    The explicit-B side is quadratic in 2E memory, so ``MAX_DIRECTED_EDGES`` caps it.
+    The M side is :func:`nb_centrality`, so trees, disconnected graphs and
+    a failed residual gate are refused before B is built.  The explicit-B
+    side is quadratic in 2E memory, so ``MAX_DIRECTED_EDGES`` caps it.
     """
     if 2 * g.num_edges > MAX_DIRECTED_EDGES:
         raise InvalidParamsError(
             f"2E = {2 * g.num_edges} exceeds cap {MAX_DIRECTED_EDGES} for explicit B"
         )
-    nb = build_nb_matrix(g)
-    pair_b = leading_eig(nb.b, shift=1.0)
+    kappa_m = nb_centrality(g).kappa
+    b = build_nb_matrix(g)
+    pair_b = leading_eig(b.__matmul__, size=b.shape[0], shift=1.0, dense=lambda: b)
     # Summing the edge-vector over outgoing edges gives the node vector, so
     # both sides can be polished through the same quadratic identity.
     x_b = np.bincount(g.arcs[0], weights=pair_b.vector, minlength=g.n)
@@ -240,7 +227,6 @@ def verify_b_vs_m(g):
         kappa_b = float(x_b @ _adj_matvec(g, x_b)) / (2.0 * float(x_b @ x_b))
     else:
         kappa_b, _ = _polish_kappa(g, x_b, pair_b.value)
-    kappa_m, _x, _res, _solver = _leading_node_pair(g)
     return {
         "kappa_b": kappa_b,
         "kappa_m": kappa_m,

@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo walker used as a statistical cross-check of exact results."""
+"""Seeded Monte Carlo walker on a walk's arcs, a statistical cross-check of exact results."""
 
 from __future__ import annotations
 
@@ -44,22 +44,24 @@ class SimResult:
     rng: dict = field(default_factory=lambda: dict(RNG_METADATA))
 
 
-def _stepper(p):
+def _stepper(walk):
     """``step(nodes, u)``: move the walker at each ``nodes[k]`` by the uniform ``u[k]``, at once.
 
-    The arc table lists the nonzeros of P in row order, keyed by row index
-    plus cumulative probability within the row; the last key of row i is
-    exactly i + 1.  A draw takes the first arc whose key exceeds i + u,
-    clamped to the row's last arc for when i + u rounds up to i + 1.
+    The arc table is the walk's arcs with p = w / s[src] > 0, in row order
+    (``walk.src`` ascending), keyed by row index plus cumulative probability
+    within the row; the last key of row i is exactly i + 1.  A draw takes
+    the first arc whose key exceeds i + u, clamped to the row's last arc for
+    when i + u rounds up to i + 1.  No N×N array is formed.
     """
-    mat = p.p
-    rows, dst = np.nonzero(mat)
-    prob = mat[rows, dst]
-    last = np.cumsum(np.bincount(rows, minlength=mat.shape[0])) - 1
+    n = walk.s.shape[0]
+    prob = walk.w / walk.s[walk.src]
+    on = prob > 0.0  # an underflowed weight is no arc of P
+    rows, dst, prob = walk.src[on], walk.dst[on], prob[on]
+    last = np.cumsum(np.bincount(rows, minlength=n)) - 1
     cum = np.cumsum(prob)
     before = np.concatenate([[0.0], cum[last[:-1]]])  # total of the rows above
     keys = rows + np.minimum(cum - before[rows], 1.0)
-    keys[last] = np.arange(mat.shape[0]) + 1.0
+    keys[last] = np.arange(n) + 1.0
 
     def step(nodes, u):
         arc = np.searchsorted(keys, nodes + u, side="right")
@@ -68,18 +70,18 @@ def _stepper(p):
     return step
 
 
-def simulate_stationary(p, cfg):
-    """Visit frequencies of max(2, sqrt(trials)) independent chains from node 0.
+def simulate_stationary(walk, cfg):
+    """Visit frequencies of ``walk`` over max(2, sqrt(trials)) independent chains from node 0.
 
     Each chain walks ``burn_in`` steps, then ``max_steps // chains`` counted
     steps; standard errors are taken across the chains' frequencies.
     """
-    n = p.p.shape[0]
+    n = walk.s.shape[0]
     chains = max(2, int(np.sqrt(cfg.trials)))
     length = cfg.max_steps // chains
     if length < 1:
         raise InvalidParamsError("max_steps too small for batch-means error estimate")
-    step = _stepper(p)
+    step = _stepper(walk)
     rng = np.random.default_rng([cfg.seed])
     nodes = np.zeros(chains, dtype=np.intp)
     for _ in range(cfg.burn_in):
@@ -98,19 +100,19 @@ def simulate_stationary(p, cfg):
     )
 
 
-def simulate_hitting(p, source, target, cfg):
-    """Mean first-arrival step over independent trials walked together.
+def simulate_hitting(walk, source, target, cfg):
+    """Mean first-arrival step of ``walk`` over independent trials walked together.
 
     Trials hitting the step cap are reported separately; if more than 0.1% are
     truncated the point estimate is withheld (NaN) and only the exclusion and
     cap-substitution bounds are reported.
     """
-    n = p.p.shape[0]
+    n = walk.s.shape[0]
     if source == target:
         raise InvalidParamsError("source and target must differ")
     if not (0 <= source < n and 0 <= target < n):
         raise InvalidParamsError("source/target out of range")
-    step = _stepper(p)
+    step = _stepper(walk)
     rng = np.random.default_rng([cfg.seed])
     steps = np.full(cfg.trials, float(cfg.max_steps))  # truncated trials keep the cap
     live = np.arange(cfg.trials)

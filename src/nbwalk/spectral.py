@@ -13,14 +13,6 @@ TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Eigenvalues in ascending order with column-orthonormal eigenvectors."""
-
-    eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True, eq=False)
 class LeadingEigenpair:
     value: float
     vector: np.ndarray = field(repr=False)
@@ -30,8 +22,9 @@ class LeadingEigenpair:
 
 
 def sym_eig(m):
-    """Full eigendecomposition of a symmetric matrix.
+    """``(eigenvalues, eigenvectors)`` of a symmetric matrix, as ``np.linalg.eigh`` gives them.
 
+    The eigenvalues ascend and the eigenvectors are orthonormal columns.
     Raises if the input deviates from symmetry by more than ``TOL`` relative
     to its magnitude.
     """
@@ -41,8 +34,7 @@ def sym_eig(m):
     scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
     if float(np.max(np.abs(m - m.T))) > TOL * scale:
         raise InvalidParamsError("matrix is not symmetric within tolerance")
-    evals, evecs = np.linalg.eigh(0.5 * (m + m.T))
-    return SpectralDecomposition(eigenvalues=evals, eigenvectors=evecs)
+    return np.linalg.eigh(0.5 * (m + m.T))
 
 
 def _sign_fix(v):
@@ -76,51 +68,35 @@ def _dense_leading(m):
     return value, vec, residual
 
 
-def leading_eig(m, shift=None, size=None, dense=None):
+def leading_eig(apply, size, shift, dense):
     """Leading (largest real) eigenpair of a square operator by power iteration.
 
-    ``m`` is a square matrix or a callable ``v -> M v``.  A callable also
-    needs ``size`` (the dimension), ``shift`` and ``dense``, a thunk building
-    the matrix, which is called only if the dense fallback is needed.
-
-    The iteration runs on ``M + shift*I`` so that the target eigenvalue is
-    strictly dominant; the reported value (a Rayleigh quotient) and the
-    residual are those of the unshifted operator.  If the iteration does
-    not reach ``TOL`` within 100 steps per dimension (e.g. defective or
-    modulus-tied spectra), a dense eigensolve fallback is used.  The vector
-    has unit 2-norm and its largest-magnitude entry is positive.
+    ``apply`` maps ``v -> M v`` for an operator of dimension ``size``;
+    ``dense`` is a thunk building M, called only if the dense fallback is
+    needed.  The iteration runs on ``M + shift*I``, with ``shift`` chosen by
+    the caller so that the target eigenvalue is strictly dominant; the
+    reported value (a Rayleigh quotient) and the residual are those of the
+    unshifted operator.  If the iteration does not reach ``TOL`` within 100
+    steps per dimension (e.g. defective or modulus-tied spectra), a dense
+    eigensolve fallback is used.  The vector has unit 2-norm and its
+    largest-magnitude entry is positive.
     """
-    if callable(m):
-        if size is None or shift is None or dense is None:
-            raise InvalidParamsError("a callable operator needs size, shift and dense")
-        apply, n = m, int(size)
-    else:
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidParamsError("leading_eig needs a square matrix")
-        if not np.any(m):
-            raise InvalidParamsError("leading_eig called on a zero matrix")
-        if shift is None:
-            # Half the max absolute row sum keeps sign-symmetric spectra
-            # (bipartite adjacency) from producing a modulus tie.
-            shift = 0.5 * float(np.max(np.sum(np.abs(m), axis=1)))
-        apply, n = m.__matmul__, m.shape[0]
     # Deterministic generic start; structured vectors (e.g. all-ones) can be
     # exact non-dominant eigenvectors and freeze the iteration.
-    v = np.random.default_rng(0x5EED).random(n) + 0.5
+    v = np.random.default_rng(0x5EED).random(size) + 0.5
     v /= np.linalg.norm(v)
     value = 0.0
     residual = np.inf
     it = 0
     check_every = 8
-    while it < 100 * n:
+    while it < 100 * size:
         for _ in range(check_every):
             w = apply(v) + shift * v
             nw = np.linalg.norm(w)
             if nw == 0:
                 # Iterate fell into the nullspace; restart from a basis vector.
-                w = np.zeros(n)
-                w[it % n] = 1.0
+                w = np.zeros(size)
+                w[it % size] = 1.0
                 nw = 1.0
             v = w / nw
             it += 1
@@ -131,7 +107,7 @@ def leading_eig(m, shift=None, size=None, dense=None):
             break
     path = "power"
     if residual > TOL * max(1.0, abs(value)):
-        value, v, residual = _dense_leading(dense() if callable(m) else m)
+        value, v, residual = _dense_leading(dense())
         path = "dense"
     v = _sign_fix(v)
     return LeadingEigenpair(value=value, vector=v, residual=residual, iterations=it, path=path)

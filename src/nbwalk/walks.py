@@ -87,8 +87,8 @@ def adjacency_leading_eigvec(g):
     """Leading eigenvalue and positive unit eigenvector of the adjacency matrix."""
     if not validate(g).connected:
         raise NotConnectedError("graph is not connected")
-    dec = sym_eig(g.adjacency)
-    return float(dec.eigenvalues[-1]), _sign_fix(dec.eigenvectors[:, -1])
+    evals, evecs = sym_eig(g.adjacency)
+    return float(evals[-1]), _sign_fix(evecs[:, -1])
 
 
 def potential(kind, g):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from nbwalk import (
-    Graph, HittingReport, NotConnectedError, RoseSpec, gen_ba, gen_er, gen_ws, make_rose, sym_eig,
-    validate,
+    Graph, HittingReport, NotConnectedError, RoseSpec, gen_ba, gen_er, gen_ws, leading_eig,
+    make_rose, sym_eig, validate,
 )
 
 
@@ -29,6 +29,11 @@ def star_with_chord(n):
     return Graph.from_edges(n, edges)
 
 
+def dense_pair(m, shift):
+    """Leading eigenpair of the explicit matrix ``m``, iterated on ``m + shift*I``."""
+    return leading_eig(m.__matmul__, size=m.shape[0], shift=shift, dense=lambda: m)
+
+
 def absorbing_hitting(p):
     """Reference hitting times: one absorbing solve (I - P_minus_j) t = 1 per target j."""
     mat = p.p
@@ -47,8 +52,7 @@ def eigen_hitting(walk):
     The paper's eigen-expansion, term by term over the nonzero eigenpairs
     (σ_k, v_k) of L = diag(s) - w, with s in place of the degrees.
     """
-    dec = sym_eig(walk.laplacian())
-    evals, evecs = dec.eigenvalues, dec.eigenvectors
+    evals, evecs = sym_eig(walk.laplacian())
     n = evecs.shape[0]
     sigma = evals[1:]
     if np.any(sigma <= 0):

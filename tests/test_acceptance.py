@@ -29,8 +29,8 @@ import pytest
 from nbwalk import (
     RoseSpec, SimConfig, WalkKind, corrected_exponent, detailed_balance_residual, eq26_audit,
     gen_ba, gen_er, gen_ws, hitting_linear, hitting_spectral, ipr, loglog_slope, make_rose,
-    nb_centrality, rose4_oracle, scaling_table, simulate_hitting, simulate_stationary,
-    stationary_closed, stationary_generic, transition, verify_b_vs_m,
+    nb_centrality, reversible_walk, rose4_oracle, scaling_table, simulate_hitting,
+    simulate_stationary, stationary_closed, stationary_generic, transition, verify_b_vs_m,
 )
 from nbwalk.cli import main as cli_main
 
@@ -248,23 +248,23 @@ def test_criterion_8_monte_carlo_validation(tmp_path, capsys):
     failures = []
     k3 = complete_graph(3)
     cfg_station = SimConfig(seed=101, trials=100_000, max_steps=1_000_000, burn_in=1000)
-    out = simulate_stationary(transition(WalkKind.TURW, k3), cfg_station)
+    out = simulate_stationary(reversible_walk(WalkKind.TURW, k3), cfg_station)
     for est, se in zip(out.estimates, out.standard_errors):
         if abs(est - 1.0 / 3) > 3.0 * se:
             failures.append("triangle stationary")
     rose = make_rose(RoseSpec(m=2))
-    out = simulate_stationary(transition(WalkKind.NBCRW, rose), cfg_station)
+    out = simulate_stationary(reversible_walk(WalkKind.NBCRW, rose), cfg_station)
     if abs(out.estimates[0] - 1.0 / (2.0 + math.sqrt(3.0))) > 3.0 * out.standard_errors[0]:
         failures.append("rose hub stationary")
     cfg_hit = SimConfig(seed=202, trials=100_000, max_steps=1_000_000)
     k5 = complete_graph(5)
-    out = simulate_hitting(transition(WalkKind.TURW, k5), 0, 1, cfg_hit)
+    out = simulate_hitting(reversible_walk(WalkKind.TURW, k5), 0, 1, cfg_hit)
     if abs(out.estimates[0] - 4.0) > 3.0 * out.standard_errors[0]:
         failures.append("complete-graph hitting")
-    out = simulate_hitting(transition(WalkKind.TURW, rose), 3, 0, cfg_hit)
+    out = simulate_hitting(reversible_walk(WalkKind.TURW, rose), 3, 0, cfg_hit)
     if abs(out.estimates[0] - 4.0) > 3.0 * out.standard_errors[0]:
         failures.append("rose peripheral-to-hub hitting")
-    out = simulate_hitting(transition(WalkKind.MERW, rose), 1, 0, cfg_hit)
+    out = simulate_hitting(reversible_walk(WalkKind.MERW, rose), 1, 0, cfg_hit)
     if abs(out.estimates[0] - 2.0) > 3.0 * out.standard_errors[0]:
         failures.append("rose internal-to-hub hitting")
     # The same seed must give the same output on a rerun.

@@ -29,6 +29,20 @@ def write_graph(tmp_path, name, text):
     return str(path)
 
 
+def run_limited(argv):
+    """``nbwalk argv`` in a child process with 2 GB of address space."""
+    limit = 2 << 30
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from nbwalk.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 def rose2_file(tmp_path):
     return write_graph(
         tmp_path, "rose2.txt",
@@ -127,22 +141,31 @@ HUGE_NODE_IDS = {
 def test_huge_node_ids_fail_before_any_allocation(tmp_path, command, text, exit_code, error):
     # A child process with 2 GB of address space: an O(N) allocation for the
     # huge node count fails fast there instead of exhausting the machine.
-    path = write_graph(tmp_path, "huge.txt", text)
-    limit = 2 << 30
-    script = (
-        "import resource, sys\n"
-        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-        "from nbwalk.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", script, command, path], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_limited([command, write_graph(tmp_path, "huge.txt", text)])
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert proc.returncode == exit_code, proc.stderr
     assert json.loads(lines[0])["error"] == error
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("mode_args", [
+    ("--mode", "stationary", "--burn-in", "10"),
+    ("--mode", "hitting", "--source", "0", "--target", "15000"),
+], ids=["stationary", "hitting"])
+def test_simulate_steps_on_arcs_where_no_dense_matrix_fits(tmp_path, mode_args):
+    # A 30000-node ring with one chord: an N×N float array takes 7.2 GB, far
+    # above the child's 2 GB of address space, so the walker must not form one.
+    n = 30000
+    edges = [f"{i} {(i + 1) % n}" for i in range(n)] + [f"0 {n // 2}"]
+    path = write_graph(tmp_path, "ring.txt", "\n".join(edges) + "\n")
+    proc = run_limited(["--seed", "3", "simulate", path, "--walk", "turw", *mode_args,
+                        "--trials", "4", "--max-steps", "200"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    out = json.loads(proc.stdout)
+    assert out["mode"] == mode_args[1]
+    assert out["samples"] + out["truncated"] > 0
 
 
 def test_stationary_all_walks(tmp_path, capsys):

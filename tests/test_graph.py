@@ -10,7 +10,7 @@ from nbwalk import (
     laplacian, parse_edge_list, reversible_walk, validate,
 )
 
-from conftest import complete_graph, cycle_graph
+from conftest import complete_graph
 
 
 def path_graph(n):
@@ -74,7 +74,6 @@ def test_validate_path_is_tree():
     flags = validate(path_graph(3))
     assert flags.connected
     assert flags.is_tree
-    assert flags.min_degree == 1
 
 
 def test_validate_triangle_not_tree():
@@ -232,7 +231,3 @@ def test_contiguous_labels_are_a_range_at_any_node_count():
     with pytest.raises(InvalidParamsError, match="array index"):
         Graph(n=2**64, edges=((0, 1),))
 
-
-def test_fingerprint_distinguishes_graphs():
-    assert complete_graph(3).fingerprint() != cycle_graph(4).fingerprint()
-    assert complete_graph(3).fingerprint() == complete_graph(3).fingerprint()

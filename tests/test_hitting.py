@@ -8,7 +8,7 @@ import pytest
 from nbwalk import (
     Graph, InvalidParamsError, NotConnectedError, ReversibleWalk, RoseSpec, TransitionMatrix,
     WalkKind, eq26_audit, hitting_linear, hitting_merw_adjacency, hitting_spectral, hub_node,
-    gen_ba, hub_report, make_rose, potential, reversible_walk, stationary_closed, transition,
+    gen_ba, make_rose, potential, reversible_walk, stationary_closed, transition,
     walk_hitting,
 )
 from nbwalk.hitting import _invert_lower
@@ -235,13 +235,14 @@ def test_hub_node_tie_breaks_to_smallest_label():
 
 def test_hub_report_rose_m5():
     g = make_rose(RoseSpec(m=5))
-    assert hub_report(g, WalkKind.TURW)["t_hub"] == pytest.approx(10.0 / 3, abs=1e-9)
-    assert hub_report(g, WalkKind.NBCRW)["t_hub"] == pytest.approx(38.0 / 15, abs=1e-9)
+    hub = hub_node(g)
+    assert hitting_spectral(WalkKind.TURW, g).t_partial[hub] == pytest.approx(10.0 / 3, abs=1e-9)
+    assert hitting_spectral(WalkKind.NBCRW, g).t_partial[hub] == pytest.approx(38.0 / 15, abs=1e-9)
 
 
 def test_hub_ordering_on_ba_instance():
     g = gen_ba(1000, 2, 1)
-    t_hub = {kind: hub_report(g, kind)["t_hub"] for kind in WalkKind}
+    t_hub = {kind: hitting_spectral(kind, g).t_partial[hub_node(g)] for kind in WalkKind}
     assert t_hub[WalkKind.TURW] > t_hub[WalkKind.NBCRW] > t_hub[WalkKind.MERW]
 
 

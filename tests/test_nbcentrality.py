@@ -9,12 +9,12 @@ import pytest
 
 from nbwalk import (
     Graph, InvalidParamsError, NotConnectedError, RoseSpec, TreeGraphError, WalkKind,
-    build_m_matrix, build_nb_matrix, gen_ba, gen_er, leading_eig, make_rose, nb_centrality,
+    build_m_matrix, build_nb_matrix, gen_ba, gen_er, make_rose, nb_centrality,
     reversible_walk, rose4_oracle, verify_b_vs_m,
 )
 from nbwalk.nbcentrality import _m_operator
 
-from conftest import complete_graph, cycle_graph
+from conftest import complete_graph, cycle_graph, dense_pair, star_with_chord
 
 
 def path_graph(n):
@@ -45,36 +45,36 @@ def theta_kappa(lengths):
 
 
 def test_nb_matrix_single_edge_is_zero():
-    nb = build_nb_matrix(Graph.from_edges(2, [(0, 1)]))
-    assert nb.b.shape == (2, 2)
-    assert not np.any(nb.b)
+    b = build_nb_matrix(Graph.from_edges(2, [(0, 1)]))
+    assert b.shape == (2, 2)
+    assert not np.any(b)
 
 
 def test_nb_matrix_triangle():
-    nb = build_nb_matrix(complete_graph(3))
-    assert nb.b.shape == (6, 6)
-    assert np.all(nb.b.sum(axis=1) == 1)
-    assert leading_eig(nb.b, shift=1.0).value == pytest.approx(1.0, abs=1e-10)
+    b = build_nb_matrix(complete_graph(3))
+    assert b.shape == (6, 6)
+    assert np.all(b.sum(axis=1) == 1)
+    assert dense_pair(b, shift=1.0).value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_nb_matrix_rose():
-    nb = build_nb_matrix(make_rose(RoseSpec(m=2)))
+    b = build_nb_matrix(make_rose(RoseSpec(m=2)))
     # 2E = 16 directed edges: 4 edges per petal, 2 petals.
-    assert nb.b.shape == (16, 16)
-    assert leading_eig(nb.b, shift=1.0).value == pytest.approx(3.0**0.25, abs=1e-9)
+    assert b.shape == (16, 16)
+    assert dense_pair(b, shift=1.0).value == pytest.approx(3.0**0.25, abs=1e-9)
 
 
 def test_nb_matrix_entry_rule_and_row_sums(small_corpus):
     for name, g in small_corpus[:8]:
-        nb = build_nb_matrix(g)
+        b = build_nb_matrix(g)
         degs = g.degrees
-        pos = {e: k for k, e in enumerate(nb.edge_index)}
-        for (i, j) in nb.edge_index:
-            row = nb.b[pos[(i, j)]]
+        arcs = list(zip(*(a.tolist() for a in g.arcs)))
+        assert b.shape == (len(arcs), len(arcs)), name
+        for row, (i, j) in zip(b, arcs):
             assert row.sum() == degs[j] - 1, name
-            for (k, l) in nb.edge_index:
+            for col, (k, l) in enumerate(arcs):
                 expected = 1.0 if (j == k and i != l) else 0.0
-                assert row[pos[(k, l)]] == expected, name
+                assert row[col] == expected, name
 
 
 def test_m_matrix_triangle_blocks():
@@ -85,11 +85,11 @@ def test_m_matrix_triangle_blocks():
     assert np.array_equal(m[:3, 3:], np.eye(3) - np.diag([2.0, 2.0, 2.0]))
     assert np.array_equal(m[3:, :3], np.eye(3))
     assert not np.any(m[3:, 3:])
-    assert leading_eig(m, shift=2.0).value == pytest.approx(1.0, abs=1e-10)
+    assert dense_pair(m, shift=2.0).value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_m_matrix_complete_four():
-    pair = leading_eig(build_m_matrix(complete_graph(4)), shift=3.0)
+    pair = dense_pair(build_m_matrix(complete_graph(4)), shift=3.0)
     assert pair.value == pytest.approx(2.0, abs=1e-10)
 
 
@@ -239,3 +239,22 @@ def test_verify_b_vs_m_er_instance():
 def test_verify_b_vs_m_cap():
     with pytest.raises(InvalidParamsError):
         verify_b_vs_m(complete_graph(30))
+
+
+@pytest.mark.parametrize("g, error", [
+    (path_graph(3), TreeGraphError),
+    (Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), NotConnectedError),
+    (Graph.from_edges(2, [(0, 1)]), TreeGraphError),
+    (Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), TreeGraphError),
+    (star_with_chord(5), None),
+], ids=["path3", "two-triangles", "single-edge", "star3", "star-with-chord"])
+def test_verify_b_vs_m_refuses_what_nb_centrality_refuses(g, error):
+    # The M side is nb_centrality itself, so its gates apply before B is built:
+    # a tree (kappa = 0) or a disconnected graph gets no numbers.
+    if error is not None:
+        with pytest.raises(error):
+            verify_b_vs_m(g)
+        return
+    out = verify_b_vs_m(g)
+    assert out["kappa_m"] == nb_centrality(g).kappa
+    assert out["max_gap"] <= 1e-10

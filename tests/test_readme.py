@@ -1,4 +1,4 @@
-"""The README's Python quick start runs as written, and its CLI examples parse."""
+"""The README's quick start runs, its CLI examples parse, and its entry points exist."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
+import nbwalk
 from nbwalk.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -26,3 +27,19 @@ def test_readme_cli_examples_parse():
     assert len(commands) >= 8
     for argv in commands:
         build_parser().parse_args(argv[1:])
+
+
+def test_readme_entry_points_are_real():
+    # The list after "Key entry points:" names public attributes of nbwalk,
+    # or methods of one (`Graph.from_edges`).
+    entries = README.read_text().split("Key entry points:", 1)[1].split("\n\n")[1]
+    names = re.findall(r"`([^`]+)`", entries)
+    assert len(names) >= 20
+    missing = []
+    for name in names:
+        owner = nbwalk
+        for attr in name.split("."):
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            missing.append(name)
+    assert missing == []
