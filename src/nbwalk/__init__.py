@@ -11,10 +11,9 @@ from .errors import (
     ConvergenceFailureError, IllConditionedError, InvalidParamsError, NbwalkError,
     NotConnectedError, ParseError, TreeGraphError, ZeroDenominatorError,
 )
-from .graph import Graph, GraphValidation, laplacian, parse_edge_list, validate
+from .graph import Graph, GraphValidation, parse_edge_list, validate
 from .hitting import (
-    HittingReport, eq26_audit, hitting_linear, hitting_merw_adjacency, hitting_spectral, hub_node,
-    walk_hitting,
+    HittingReport, eq26_audit, hitting_linear, hitting_spectral, hub_node, walk_hitting,
 )
 from .models import (
     RoseOracle4, RoseSpec, corrected_exponent, gen_ba, gen_er, gen_ws, loglog_slope, make_rose,
@@ -25,6 +24,5 @@ from .simulate import SimConfig, SimResult, simulate_hitting, simulate_stationar
 from .spectral import LeadingEigenpair, leading_eig, sym_eig
 from .walks import (
     ReversibleWalk, StationaryDistribution, TransitionMatrix, WalkKind, detailed_balance_residual,
-    ipr, potential, reversible_walk, stationary_closed, stationary_generic,
-    stationary_nbcrw_formula, transition,
+    ipr, potential, reversible_walk, stationary_closed, stationary_generic, transition,
 )

@@ -19,7 +19,9 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .errors import InvalidParamsError, NbwalkError, NotConnectedError, ParseError
+from .errors import (
+    IllConditionedError, InvalidParamsError, NbwalkError, NotConnectedError, ParseError,
+)
 from .graph import parse_edge_list
 from .hitting import eq26_audit, hitting_linear, hitting_spectral, hub_node, walk_hitting
 from .models import (
@@ -189,7 +191,7 @@ def _walk_kinds(value):
 def cmd_centrality(args):
     g, digest = _load_graph(args)
     nc = nb_centrality(g)
-    _, psi1 = adjacency_leading_eigvec(g)
+    psi1 = adjacency_leading_eigvec(g)
     return {
         "kappa": nc.kappa,
         "x": nc.x,
@@ -236,18 +238,25 @@ def cmd_hitting(args):
     reports = []
     for kind in _walk_kinds(args.walk):
         entry = {"kind": kind.value, "method": args.method}
+        audit = kind is WalkKind.NBCRW and args.verbatim_eq26
         spectral = linear = None
-        if args.method in ("spectral", "both"):
+        if args.method in ("spectral", "both") or audit:
             spectral = hitting_spectral(kind, g)
-        if args.method in ("linear", "both"):
+        if args.method in ("linear", "both") or audit:
             linear = hitting_linear(transition(kind, g))
-        main = spectral if spectral is not None else linear
+        main = linear if args.method == "linear" else spectral
         entry["t_global"] = main.t_global
         entry["t_partial"] = main.t_partial
         if g.n <= 500 or args.full_matrix:
             entry["t_matrix"] = main.t
-        if spectral is not None and linear is not None:
-            entry["spectral_vs_linear_max_gap"] = float(np.max(np.abs(spectral.t - linear.t)))
+        if args.method == "both":
+            gap = float(np.max(np.abs(spectral.t - linear.t)))
+            bound = 1e-7 * (1.0 + float(spectral.t.max()))
+            if not gap <= bound:
+                raise IllConditionedError(
+                    f"{kind.value} walk: spectral and linear hitting times differ by "
+                    f"{gap:.3e}, above {bound:.3e}")
+            entry["spectral_vs_linear_max_gap"] = gap
         for tgt in targets:
             if tgt == "hub":
                 h = hub_node(g)
@@ -258,15 +267,11 @@ def cmd_hitting(args):
             else:
                 node = _node_index(g, tgt)
                 entry[f"t_partial_{g.labels[node]}"] = float(main.t_partial[node])
-        if kind is WalkKind.NBCRW and args.verbatim_eq26:
-            audit = eq26_audit(g)
-            entry["eq26_audit"] = {
-                "t_verbatim": audit["t_verbatim"],
-                "t_consistent": audit["t_consistent"],
-                "max_gap_consistent_vs_linear": audit["max_gap_consistent_vs_linear"],
-                "max_gap_verbatim_vs_linear": audit["max_gap_verbatim_vs_linear"],
-                "note": audit["note"],
-            }
+        if audit:
+            report = eq26_audit(spectral, linear)
+            entry["eq26_audit"] = {key: report[key] for key in (
+                "t_verbatim", "t_consistent", "max_gap_consistent_vs_linear",
+                "max_gap_verbatim_vs_linear", "note")}
         reports.append(entry)
     rows = [["kind", "node", "t_partial"]]
     for entry in reports:

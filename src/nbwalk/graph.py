@@ -172,9 +172,3 @@ def validate(g):
     """Connectivity/tree flags used to gate the walk constructions."""
     connected = reaches_all(g.n, *g.arcs)
     return GraphValidation(connected=connected, is_tree=connected and g.num_edges == g.n - 1)
-
-
-def laplacian(g):
-    """Combinatorial Laplacian: degree matrix minus adjacency."""
-    a = g.adjacency
-    return np.diag(a.sum(axis=1)) - a

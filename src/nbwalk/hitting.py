@@ -1,4 +1,4 @@
-"""Hitting times: one formula over the weighted-Laplacian pseudo-inverse for every walk, and its oracles."""
+"""Hitting times: one formula over the weighted-Laplacian pseudo-inverse for every walk, and the linear-solve oracle."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ import numpy as np
 from .errors import IllConditionedError, InvalidParamsError
 from .graph import reaches_all
 from .nbcentrality import nb_centrality  # noqa: F401  -- benchmarks/tests/test_tracer.py expects it
-from .spectral import sym_eig
-from .walks import WalkKind, adjacency_leading_eigvec, reversible_walk, transition
+from .walks import reversible_walk
 
 
 class HittingReport:
@@ -60,26 +59,6 @@ def hitting_linear(p):
     t_partial = t.sum(axis=0) / (n - 1)
     t_global = float(t_partial.mean())
     return HittingReport(kind=p.kind, t=t, t_partial=t_partial, t_global=t_global, method="linear_solve")
-
-
-def hitting_merw_adjacency(g):
-    """Oracle: maximal-entropy-walk hitting times from the adjacency spectrum."""
-    lam1, psi1 = adjacency_leading_eigvec(g)
-    evals, evecs = sym_eig(g.adjacency)
-    n = g.n
-    lams = evals[:-1]
-    psis = evecs[:, :-1]
-    rk = lam1 / (lam1 - lams)
-    hk = (psis / psi1[:, None]).sum(axis=0)
-    gram = (psis * rk[None, :]) @ psis.T
-    gdiag = np.diag(gram)
-    beta = psis @ (rk * hk)
-    ratio = psi1[None, :] / psi1[:, None]
-    t = (gdiag[None, :] - gram * ratio) / (psi1**2)[None, :]
-    np.fill_diagonal(t, 0.0)
-    t_partial = (n * gdiag - psi1 * beta) / (psi1**2 * (n - 1.0))
-    t_global = float(t_partial.mean())
-    return HittingReport(kind=WalkKind.MERW, t=t, t_partial=t_partial, t_global=t_global, method="spectral")
 
 
 BLOCK = 64  # diagonal blocks of at most this many rows are inverted by LAPACK
@@ -159,24 +138,22 @@ def hub_node(g):
     return int(np.argmax(g.degrees))
 
 
-def eq26_audit(g):
+def eq26_audit(consistent, linear):
     """Document the pairwise-formula prefactor discrepancy on a concrete graph.
 
-    Returns both evaluations of the pairwise hitting-time formula (with and
-    without the printed 1/2), the partial/global values, and the linear-solve
-    oracle, so the disagreement of the verbatim form is visible in one report.
+    Takes the NBCRW walk's spectral report ``consistent`` and its
+    linear-solve report ``linear``.  Returns both evaluations of the pairwise
+    hitting-time formula (with and without the printed 1/2) and the
+    linear-solve oracle, so the disagreement of the verbatim form is visible
+    in one report.
     """
-    consistent = hitting_spectral(WalkKind.NBCRW, g)
     t_verbatim = 0.5 * consistent.t
-    linear = hitting_linear(transition(WalkKind.NBCRW, g))
     gap_consistent = float(np.max(np.abs(consistent.t - linear.t)))
     gap_verbatim = float(np.max(np.abs(t_verbatim - linear.t)))
     return {
         "t_consistent": consistent.t,
         "t_verbatim": t_verbatim,
         "t_linear": linear.t,
-        "t_partial": consistent.t_partial,
-        "t_global": consistent.t_global,
         "max_gap_consistent_vs_linear": gap_consistent,
         "max_gap_verbatim_vs_linear": gap_verbatim,
         "note": (

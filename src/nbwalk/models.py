@@ -53,8 +53,25 @@ def make_rose(spec):
     return Graph.from_edges(n, edges)
 
 
-def _closed_forms(m):
-    """All rose-R_m^4 closed forms, keyed by walk kind."""
+@dataclass(frozen=True)
+class RoseOracle4:
+    """Closed-form reference values for the rose graph with 4-cycles."""
+
+    m: int
+    kappa1: float
+    x_hub: float
+    x_int: float
+    x_per: float
+    pi: dict
+    t_hub: dict
+    t_global: dict
+    t_class: dict
+
+
+def rose4_oracle(m):
+    """Every rose-R_m^4 closed form, the per-kind ones keyed by walk kind."""
+    if m < 2:
+        raise InvalidParamsError(f"petal count must be >= 2, got {m}")
     r = math.sqrt(2 * m - 1)
     kappa = (2 * m - 1) ** 0.25
     k2 = kappa * kappa
@@ -119,37 +136,8 @@ def _closed_forms(m):
         + (36 * m**2 - 8 * m) / (3.0 * (3 * m + 1)),
         WalkKind.MERW: (6 * m**3 + 36 * m**2 + 10 * m - 12) / (9.0 * m + 3.0),
     }
-    return kappa, (x_hub, x_int, x_per), pi, t_hub, t_global, t_class
-
-
-@dataclass(frozen=True)
-class RoseOracle4:
-    """Closed-form reference values for the rose graph with 4-cycles."""
-
-    m: int
-    kappa1: float
-    x_hub: float
-    x_int: float
-    x_per: float
-    pi: dict
-    t_hub: dict
-    t_global: dict
-    t_class: dict
-
-
-def rose4_oracle(m):
-    """Evaluate every rose-R_m^4 closed form and assert internal consistency."""
-    if m < 2:
-        raise InvalidParamsError(f"petal count must be >= 2, got {m}")
-    kappa, (x_h, x_i, x_p), pi, t_hub, t_global, t_class = _closed_forms(m)
-    assert abs(kappa - (2 * m - 1) ** 0.25) < 1e-12
-    for kind in WalkKind:
-        ph, pi_i, pp = pi[kind]
-        assert abs(ph + 2 * m * pi_i + m * pp - 1.0) < 1e-10, kind
-        th = (2 * t_class[kind]["I->H"] + t_class[kind]["P->H"]) / 3.0
-        assert abs(th - t_hub[kind]) < 1e-10 * (1 + abs(th)), kind
     return RoseOracle4(
-        m=m, kappa1=kappa, x_hub=x_h, x_int=x_i, x_per=x_p,
+        m=m, kappa1=kappa, x_hub=x_hub, x_int=x_int, x_per=x_per,
         pi=pi, t_hub=t_hub, t_global=t_global, t_class=t_class,
     )
 
@@ -221,13 +209,7 @@ def gen_ws(n, k, beta, seed):
 def scaling_table(kind, m_list):
     """Rows (N_m, closed-form global mean hitting time) for exponent fitting."""
     kind = WalkKind(kind)
-    rows = []
-    for m in m_list:
-        if m < 2:
-            raise InvalidParamsError(f"petal count must be >= 2, got {m}")
-        _, _, _, _, t_global, _ = _closed_forms(m)
-        rows.append((3 * m + 1, t_global[kind]))
-    return rows
+    return [(3 * m + 1, rose4_oracle(m).t_global[kind]) for m in m_list]
 
 
 def loglog_slope(rows):

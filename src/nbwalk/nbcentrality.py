@@ -108,40 +108,6 @@ def _polish_kappa(g, x, kappa0):
     return root, True
 
 
-def _stacked_gap(kappa, z, n):
-    """How far z is from the (x | x/kappa) block structure of a true M pair."""
-    if kappa <= 0.0:
-        return np.inf
-    return float(np.max(np.abs(kappa * z[n:] - z[:n])))
-
-
-def _leading_m_pair(g):
-    """Leading eigenpair of M, by power iteration on the edge-list operator.
-
-    A true pair has z_bottom = z_top / kappa; the power residual bounds that
-    gap (Mz - kappa z has bottom block z_top - kappa z_bottom), so a pair
-    breaking it is a convergence failure.  Returns (kappa, z, path, iterations).
-
-    The shift is 1.  M's eigenvalues are eigenvalues of B (Ihara-Bass; B adds
-    only +-1), so every one has |lambda| <= kappa, and |lambda + 1| <
-    kappa + 1 for every lambda other than kappa itself: the target is strictly
-    dominant whenever kappa > 1.  (kappa = 1 is the unicyclic case, solved in
-    closed form before this.)  A shift s contracts the iteration by
-    max |lambda + s| / (kappa + s) over the other eigenvalues; for those near
-    the unit circle or inside |lambda| <= sqrt(kappa), where most of them lie
-    on sparse graphs, that ratio grows with s, so the smallest safe shift is used.
-    """
-    n = g.n
-    pair = leading_eig(_m_operator(g), size=2 * n, shift=1.0, dense=lambda: build_m_matrix(g))
-    kappa, z = pair.value, pair.vector
-    if kappa <= 1e-9 or _stacked_gap(kappa, z, n) > 1e-4:
-        raise ConvergenceFailureError(
-            "leading eigenpair violates the stacked-vector structure",
-            residual=_stacked_gap(kappa, z, n),
-        )
-    return kappa, z, pair.path, pair.iterations
-
-
 def _clean_nonnegative(x):
     """Orient a Perron-like vector positively and wipe sign noise."""
     if np.sum(x) < 0:
@@ -163,7 +129,10 @@ def _leading_node_pair(g):
     digits, because the vector can absorb the eigenvalue error while keeping
     the residual small.  In that case the eigen-equation at kappa = 1 reduces
     to (A - D) x = 0, whose kernel on a connected graph is the constant
-    vector, so the exact pair is available in closed form.
+    vector, so the exact pair is available in closed form.  Otherwise the
+    leading eigenpair of M comes from power iteration on the edge-list
+    operator, and x is the top block of its vector; ``nb_centrality`` gates
+    the pair on the reduced eigen-equation.
 
     Returns (kappa, x, residual, solver diagnostics for :class:`NbCentrality`).
     """
@@ -172,10 +141,10 @@ def _leading_node_pair(g):
         x = np.full(n, 1.0 / np.sqrt(n))
         solver = {"path": "unicyclic", "iterations": 0, "polished": False}
         return 1.0, x, _reduced_residual(g, 1.0, x), solver
-    kappa, z, path, iterations = _leading_m_pair(g)
-    x = _clean_nonnegative(z[:n])
-    kappa, polished = _polish_kappa(g, x, kappa)
-    solver = {"path": path, "iterations": iterations, "polished": polished}
+    pair = leading_eig(_m_operator(g), size=2 * n, dense=lambda: build_m_matrix(g))
+    x = _clean_nonnegative(pair.vector[:n])
+    kappa, polished = _polish_kappa(g, x, pair.value)
+    solver = {"path": pair.path, "iterations": pair.iterations, "polished": polished}
     return kappa, x, _reduced_residual(g, kappa, x), solver
 
 
@@ -216,7 +185,7 @@ def verify_b_vs_m(g):
         )
     kappa_m = nb_centrality(g).kappa
     b = build_nb_matrix(g)
-    pair_b = leading_eig(b.__matmul__, size=b.shape[0], shift=1.0, dense=lambda: b)
+    pair_b = leading_eig(b.__matmul__, size=b.shape[0], dense=lambda: b)
     # Summing the edge-vector over outgoing edges gives the node vector, so
     # both sides can be polished through the same quadratic identity.
     x_b = np.bincount(g.arcs[0], weights=pair_b.vector, minlength=g.n)

@@ -68,18 +68,29 @@ def _dense_leading(m):
     return value, vec, residual
 
 
-def leading_eig(apply, size, shift, dense):
+def leading_eig(apply, size, dense):
     """Leading (largest real) eigenpair of a square operator by power iteration.
 
     ``apply`` maps ``v -> M v`` for an operator of dimension ``size``;
     ``dense`` is a thunk building M, called only if the dense fallback is
-    needed.  The iteration runs on ``M + shift*I``, with ``shift`` chosen by
-    the caller so that the target eigenvalue is strictly dominant; the
-    reported value (a Rayleigh quotient) and the residual are those of the
-    unshifted operator.  If the iteration does not reach ``TOL`` within 100
-    steps per dimension (e.g. defective or modulus-tied spectra), a dense
-    eigensolve fallback is used.  The vector has unit 2-norm and its
-    largest-magnitude entry is positive.
+    needed.  The iteration runs on ``M + I``; the reported value (a Rayleigh
+    quotient) and the residual are those of M.  If the iteration does not
+    reach ``TOL`` within 100 steps per dimension (e.g. defective or
+    modulus-tied spectra), a dense eigensolve fallback is used.  The vector
+    has unit 2-norm and its largest-magnitude entry is positive.
+
+    The unit shift serves both operators iterated here, the reduced 2Nx2N M
+    and the explicit non-backtracking B.  M's eigenvalues are eigenvalues of
+    B (Ihara-Bass; B adds only +-1), and every eigenvalue of B has
+    |lambda| <= kappa, so |lambda + 1| < kappa + 1 for every lambda other
+    than kappa itself: the target is strictly dominant whenever kappa > 1.
+    (kappa = 1 is the unicyclic case, which ``nb_centrality`` solves in
+    closed form.)  A shift s contracts the iteration by max |lambda + s| /
+    (kappa + s) over the other eigenvalues; for those near the unit circle or
+    inside |lambda| <= sqrt(kappa), where most of them lie on sparse graphs,
+    that ratio grows with s, so the smallest safe shift is used.  The start
+    vector has a component along the Perron vector, which each step scales
+    by kappa + 1 > 0, so the iterate never vanishes.
     """
     # Deterministic generic start; structured vectors (e.g. all-ones) can be
     # exact non-dominant eigenvectors and freeze the iteration.
@@ -91,14 +102,8 @@ def leading_eig(apply, size, shift, dense):
     check_every = 8
     while it < 100 * size:
         for _ in range(check_every):
-            w = apply(v) + shift * v
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                # Iterate fell into the nullspace; restart from a basis vector.
-                w = np.zeros(size)
-                w[it % size] = 1.0
-                nw = 1.0
-            v = w / nw
+            w = apply(v) + v
+            v = w / np.linalg.norm(w)
             it += 1
         mv = apply(v)
         value = float(v @ mv)

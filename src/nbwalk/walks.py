@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParamsError, NotConnectedError, ZeroDenominatorError
-from .graph import reaches_all, validate
+from .graph import reaches_all
 from .nbcentrality import nb_centrality
 from .spectral import _sign_fix, sym_eig
 
@@ -49,12 +49,12 @@ class ReversibleWalk:
 
     def __init__(self, kind, g, x):
         self.kind = WalkKind(kind)
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
-            raise InvalidParamsError("negative potential entry")
         self.src, self.dst = g.arcs
         if not reaches_all(g.n, self.src, self.dst):
             raise NotConnectedError("graph is not connected")
+        x = np.asarray(x, dtype=float)
+        if np.any(x < 0):
+            raise InvalidParamsError("negative potential entry")
         self.w = x[self.src] * x[self.dst]
         self.s = np.bincount(self.src, weights=self.w, minlength=g.n)
         bad = np.flatnonzero(self.s <= 0.0)
@@ -84,11 +84,13 @@ class ReversibleWalk:
 
 
 def adjacency_leading_eigvec(g):
-    """Leading eigenvalue and positive unit eigenvector of the adjacency matrix."""
-    if not validate(g).connected:
-        raise NotConnectedError("graph is not connected")
-    evals, evecs = sym_eig(g.adjacency)
-    return float(evals[-1]), _sign_fix(evecs[:, -1])
+    """Positive unit eigenvector psi_1 of the adjacency's leading eigenvalue.
+
+    It checks no connectivity: ``ReversibleWalk`` refuses a disconnected
+    graph before it reads the potential, and ``cmd_centrality`` runs
+    ``nb_centrality`` first.
+    """
+    return _sign_fix(sym_eig(g.adjacency)[1][:, -1])
 
 
 def potential(kind, g):
@@ -97,7 +99,7 @@ def potential(kind, g):
     if kind is WalkKind.TURW:
         return np.ones(g.n)
     if kind is WalkKind.MERW:
-        return adjacency_leading_eigvec(g)[1]
+        return adjacency_leading_eigvec(g)
     return nb_centrality(g).x
 
 
@@ -130,20 +132,6 @@ def stationary_generic(p):
     if res > 1e-8:
         raise InvalidParamsError(f"stationary solve residual {res:.3e} too large")
     return StationaryDistribution(kind=p.kind, pi=pi, method="linear_solve")
-
-
-def stationary_nbcrw_formula(g):
-    """Oracle: the paper's NBCRW closed form pi ∝ ((kappa^2 - 1)/kappa + d/kappa) x^2.
-
-    It agrees with s / sum(s) up to the residual of the centrality eigenpair.
-    """
-    nc = nb_centrality(g)
-    kappa = nc.kappa
-    weights = ((kappa**2 - 1.0) / kappa + g.degrees / kappa) * nc.x**2
-    q = weights.sum()
-    if q <= 0:
-        raise ZeroDenominatorError(-1, "degenerate stationary normalization")
-    return StationaryDistribution(kind=WalkKind.NBCRW, pi=weights / q, method="closed_form")
 
 
 def detailed_balance_residual(pi, p):

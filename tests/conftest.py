@@ -1,14 +1,10 @@
-"""Shared fixtures and reference oracles: the cross-module graph corpus and the hitting-time references."""
+"""Shared fixtures and graph builders: the cross-module graph corpus and the small named graphs."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from nbwalk import (
-    Graph, HittingReport, NotConnectedError, RoseSpec, gen_ba, gen_er, gen_ws, leading_eig,
-    make_rose, sym_eig, validate,
-)
+from nbwalk import Graph, RoseSpec, gen_ba, gen_er, gen_ws, leading_eig, make_rose, validate
 
 
 def complete_graph(n):
@@ -29,46 +25,9 @@ def star_with_chord(n):
     return Graph.from_edges(n, edges)
 
 
-def dense_pair(m, shift):
-    """Leading eigenpair of the explicit matrix ``m``, iterated on ``m + shift*I``."""
-    return leading_eig(m.__matmul__, size=m.shape[0], shift=shift, dense=lambda: m)
-
-
-def absorbing_hitting(p):
-    """Reference hitting times: one absorbing solve (I - P_minus_j) t = 1 per target j."""
-    mat = p.p
-    n = mat.shape[0]
-    t = np.zeros((n, n))
-    eye = np.eye(n - 1)
-    for j in range(n):
-        keep = np.arange(n) != j
-        t[keep, j] = np.linalg.solve(eye - mat[np.ix_(keep, keep)], np.ones(n - 1))
-    return t
-
-
-def eigen_hitting(walk):
-    """Reference hitting times from the eigendecomposition of the weighted Laplacian.
-
-    The paper's eigen-expansion, term by term over the nonzero eigenpairs
-    (σ_k, v_k) of L = diag(s) - w, with s in place of the degrees.
-    """
-    evals, evecs = sym_eig(walk.laplacian())
-    n = evecs.shape[0]
-    sigma = evals[1:]
-    if np.any(sigma <= 0):
-        raise NotConnectedError("Laplacian has repeated zero eigenvalue: graph disconnected")
-    v = evecs[:, 1:]
-    total = float(walk.s.sum())
-    ck = (walk.s @ v) / sigma
-    ek = total / sigma
-    alpha = v @ ck
-    gram = (v * ek[None, :]) @ v.T
-    gdiag = np.diag(gram)
-    t = alpha[:, None] - alpha[None, :] - gram + gdiag[None, :]
-    np.fill_diagonal(t, 0.0)
-    t_partial = n / (n - 1.0) * (gdiag - alpha)
-    t_global = total / (n - 1.0) * float(np.sum(1.0 / sigma))
-    return HittingReport(kind=walk.kind, t=t, t_partial=t_partial, t_global=t_global)
+def dense_pair(m):
+    """Leading eigenpair of the explicit matrix ``m`` by ``leading_eig``."""
+    return leading_eig(m.__matmul__, size=m.shape[0], dense=lambda: m)
 
 
 def _usable(g):

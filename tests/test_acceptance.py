@@ -292,7 +292,9 @@ def test_criterion_8_monte_carlo_validation(tmp_path, capsys):
 
 
 def test_criterion_9_prefactor_audit(tmp_path, capsys):
-    audit = eq26_audit(complete_graph(3))
+    k3 = complete_graph(3)
+    audit = eq26_audit(hitting_spectral(WalkKind.NBCRW, k3),
+                       hitting_linear(transition(WalkKind.NBCRW, k3)))
     off = ~np.eye(3, dtype=bool)
     ok = (np.allclose(audit["t_verbatim"][off], 1.0, atol=1e-9)
           and np.allclose(audit["t_consistent"][off], 2.0, atol=1e-9)

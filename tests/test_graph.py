@@ -7,10 +7,11 @@ import pytest
 
 from nbwalk import (
     Graph, InvalidParamsError, ParseError, ReversibleWalk, WalkKind, ZeroDenominatorError,
-    laplacian, parse_edge_list, reversible_walk, validate,
+    parse_edge_list, reversible_walk, validate,
 )
 
 from conftest import complete_graph
+from oracles import laplacian
 
 
 def path_graph(n):

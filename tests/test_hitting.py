@@ -7,13 +7,13 @@ import pytest
 
 from nbwalk import (
     Graph, InvalidParamsError, NotConnectedError, ReversibleWalk, RoseSpec, TransitionMatrix,
-    WalkKind, eq26_audit, hitting_linear, hitting_merw_adjacency, hitting_spectral, hub_node,
-    gen_ba, make_rose, potential, reversible_walk, stationary_closed, transition,
-    walk_hitting,
+    WalkKind, eq26_audit, hitting_linear, hitting_spectral, hub_node, gen_ba, make_rose,
+    potential, reversible_walk, stationary_closed, transition, walk_hitting,
 )
 from nbwalk.hitting import _invert_lower
 
-from conftest import absorbing_hitting, complete_graph, cycle_graph, eigen_hitting, star_with_chord
+from conftest import complete_graph, cycle_graph
+from oracles import absorbing_hitting, eigen_hitting, hitting_merw_adjacency
 
 
 def test_linear_complete_graph():
@@ -247,7 +247,9 @@ def test_hub_ordering_on_ba_instance():
 
 
 def test_prefactor_audit_on_triangle():
-    audit = eq26_audit(complete_graph(3))
+    g = complete_graph(3)
+    audit = eq26_audit(hitting_spectral(WalkKind.NBCRW, g),
+                       hitting_linear(transition(WalkKind.NBCRW, g)))
     off = ~np.eye(3, dtype=bool)
     assert np.allclose(audit["t_verbatim"][off], 1.0, atol=1e-10)
     assert np.allclose(audit["t_consistent"][off], 2.0, atol=1e-10)

@@ -54,14 +54,14 @@ def test_nb_matrix_triangle():
     b = build_nb_matrix(complete_graph(3))
     assert b.shape == (6, 6)
     assert np.all(b.sum(axis=1) == 1)
-    assert dense_pair(b, shift=1.0).value == pytest.approx(1.0, abs=1e-10)
+    assert dense_pair(b).value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_nb_matrix_rose():
     b = build_nb_matrix(make_rose(RoseSpec(m=2)))
     # 2E = 16 directed edges: 4 edges per petal, 2 petals.
     assert b.shape == (16, 16)
-    assert dense_pair(b, shift=1.0).value == pytest.approx(3.0**0.25, abs=1e-9)
+    assert dense_pair(b).value == pytest.approx(3.0**0.25, abs=1e-9)
 
 
 def test_nb_matrix_entry_rule_and_row_sums(small_corpus):
@@ -85,11 +85,11 @@ def test_m_matrix_triangle_blocks():
     assert np.array_equal(m[:3, 3:], np.eye(3) - np.diag([2.0, 2.0, 2.0]))
     assert np.array_equal(m[3:, :3], np.eye(3))
     assert not np.any(m[3:, 3:])
-    assert dense_pair(m, shift=2.0).value == pytest.approx(1.0, abs=1e-10)
+    assert dense_pair(m).value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_m_matrix_complete_four():
-    pair = dense_pair(build_m_matrix(complete_graph(4)), shift=3.0)
+    pair = dense_pair(build_m_matrix(complete_graph(4)))
     assert pair.value == pytest.approx(2.0, abs=1e-10)
 
 

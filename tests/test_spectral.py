@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from nbwalk import (
-    InvalidParamsError, Graph, RoseSpec, build_m_matrix, laplacian, leading_eig,
-    make_rose, sym_eig,
+    InvalidParamsError, Graph, RoseSpec, build_m_matrix, leading_eig, make_rose, sym_eig,
 )
 
 from conftest import complete_graph, cycle_graph, dense_pair, star_with_chord
+from oracles import laplacian
 
 
 def star_graph(leaves):
@@ -60,19 +60,19 @@ def test_sym_eig_trace_identity():
 
 
 def test_leading_eig_complete_graph():
-    pair = dense_pair(complete_graph(4).adjacency, shift=1.5)
+    pair = dense_pair(complete_graph(4).adjacency)
     assert pair.value == pytest.approx(3.0, abs=1e-10)
     assert np.allclose(pair.vector, 0.5 * np.ones(4), atol=1e-9)
 
 
 def test_leading_eig_star():
-    pair = dense_pair(star_graph(4).adjacency, shift=2.0)
+    pair = dense_pair(star_graph(4).adjacency)
     assert pair.value == pytest.approx(2.0, abs=1e-10)
     assert pair.vector[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-9)
 
 
 def test_leading_eig_rose_m_matrix():
-    pair = dense_pair(build_m_matrix(make_rose(RoseSpec(m=2))), shift=4.0)
+    pair = dense_pair(build_m_matrix(make_rose(RoseSpec(m=2))))
     assert pair.value == pytest.approx(3.0**0.25, abs=1e-9)
     assert pair.value == pytest.approx(1.3160740, abs=1e-6)
 
@@ -81,20 +81,20 @@ def test_leading_eig_matches_sym_eig():
     for g in (complete_graph(5), star_with_chord(9), cycle_graph(7)):
         a = g.adjacency
         lam = float(sym_eig(a)[0][-1])
-        pair = dense_pair(a, shift=0.5 * float(g.degrees.max()))
+        pair = dense_pair(a)
         assert abs(pair.value - lam) <= 1e-8 * (1.0 + lam)
 
 
 def test_leading_eig_residual_contract():
     m = build_m_matrix(star_with_chord(7))
-    pair = dense_pair(m, shift=float(star_with_chord(7).degrees.max()))
+    pair = dense_pair(m)
     assert pair.residual <= 1e-12 * max(1.0, abs(pair.value))
     assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_leading_eig_bipartite_sign_symmetric_spectrum():
-    # Even cycles have eigenvalues +/-2; the shift must break the modulus tie.
-    pair = dense_pair(cycle_graph(8).adjacency, shift=1.0)
+    # Even cycles have eigenvalues +/-2; the unit shift must break the modulus tie.
+    pair = dense_pair(cycle_graph(8).adjacency)
     assert pair.value == pytest.approx(2.0, abs=1e-9)
 
 
@@ -102,7 +102,7 @@ def test_leading_eig_defective_dominant_eigenvalue():
     # The reduced 2N matrix of a cycle has a defective leading root where
     # plain power iteration stalls; the dense fallback must take over.
     g = cycle_graph(6)
-    pair = dense_pair(build_m_matrix(g), shift=2.0)
+    pair = dense_pair(build_m_matrix(g))
     assert pair.value == pytest.approx(1.0, abs=1e-8)
 
 
@@ -116,25 +116,25 @@ def test_leading_eig_operator_form_reaches_dense_fallback():
         built.append(True)
         return m
 
-    pair = leading_eig(lambda v: m @ v, size=m.shape[0], shift=2.0, dense=dense)
+    pair = leading_eig(lambda v: m @ v, size=m.shape[0], dense=dense)
     assert pair.value == pytest.approx(1.0, abs=1e-8)
     assert pair.path == "dense" and built == [True]
     assert pair.iterations == 100 * m.shape[0]
 
 
-
-@pytest.mark.parametrize("missing", ["size", "shift", "dense"])
-def test_leading_eig_operator_needs_size_shift_and_dense(missing):
-    # Every argument is required: there is no default shift to fall back on.
+@pytest.mark.parametrize("missing", ["size", "dense"])
+def test_leading_eig_operator_needs_size_and_dense(missing):
+    # Every argument is required: the operator alone tells neither its size nor its matrix.
     m = build_m_matrix(star_with_chord(7))
-    kwargs = {"size": m.shape[0], "shift": 3.0, "dense": lambda: m}
+    kwargs = {"size": m.shape[0], "dense": lambda: m}
     del kwargs[missing]
     with pytest.raises(TypeError, match=missing):
         leading_eig(m.__matmul__, **kwargs)
 
+
 def test_leading_eig_deterministic():
     m = build_m_matrix(star_with_chord(11))
-    a = dense_pair(m, shift=1.0)
-    b = dense_pair(m, shift=1.0)
+    a = dense_pair(m)
+    b = dense_pair(m)
     assert a.value == b.value
     assert a.vector.tobytes() == b.vector.tobytes()

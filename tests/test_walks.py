@@ -8,10 +8,11 @@ import pytest
 from nbwalk import (
     Graph, NotConnectedError, RoseSpec, TreeGraphError, WalkKind, ZeroDenominatorError,
     detailed_balance_residual, gen_ba, ipr, make_rose, nb_centrality, stationary_closed,
-    stationary_generic, stationary_nbcrw_formula, transition,
+    stationary_generic, transition,
 )
 
 from conftest import complete_graph, cycle_graph, star_with_chord
+from oracles import stationary_nbcrw_formula
 
 
 def star_graph(leaves):
