@@ -19,9 +19,12 @@ from .models import (
     RoseOracle4, RoseSpec, corrected_exponent, gen_ba, gen_er, gen_ws, loglog_slope, make_rose,
     rose4_oracle, scaling_table,
 )
-from .nbcentrality import NbCentrality, build_m_matrix, build_nb_matrix, nb_centrality, verify_b_vs_m
+from .nbcentrality import (
+    NbCentrality, build_m_matrix, build_nb_matrix, eigenvector_centrality, nb_centrality,
+    verify_b_vs_m,
+)
 from .simulate import SimConfig, SimResult, simulate_hitting, simulate_stationary
-from .spectral import LeadingEigenpair, leading_eig, sym_eig
+from .spectral import LeadingEigenpair, lanczos_leading, leading_eig, sym_eig
 from .walks import (
     ReversibleWalk, StationaryDistribution, TransitionMatrix, WalkKind, detailed_balance_residual,
     ipr, potential, reversible_walk, stationary_closed, stationary_generic, transition,

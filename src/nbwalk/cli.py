@@ -28,11 +28,10 @@ from .models import (
     RoseSpec, corrected_exponent, gen_ba, gen_er, gen_ws, loglog_slope, make_rose, rose4_oracle,
     scaling_table,
 )
-from .nbcentrality import nb_centrality
+from .nbcentrality import eigenvector_centrality, nb_centrality
 from .simulate import SimConfig, simulate_hitting, simulate_stationary
 from .walks import (
-    WalkKind, adjacency_leading_eigvec, detailed_balance_residual, ipr, reversible_walk,
-    stationary_generic, transition,
+    WalkKind, detailed_balance_residual, ipr, reversible_walk, stationary_generic, transition,
 )
 
 def _fmt(x):
@@ -191,14 +190,16 @@ def _walk_kinds(value):
 def cmd_centrality(args):
     g, digest = _load_graph(args)
     nc = nb_centrality(g)
-    psi1 = adjacency_leading_eigvec(g)
+    evc = eigenvector_centrality(g)
     return {
         "kappa": nc.kappa,
         "x": nc.x,
         "y": nc.y,
         "residual": nc.residual,
         "solver": {"path": nc.path, "iterations": nc.iterations, "polished": nc.polished},
-        "eigenvector_centrality": psi1,
+        "eigenvector_centrality": evc.vector,
+        "eigenvector_solver": {
+            "path": evc.path, "iterations": evc.iterations, "residual": evc.residual},
         "degrees": g.degrees,
     }, digest, None
 

@@ -13,6 +13,22 @@ from .errors import InvalidParamsError, ParseError
 
 logger = logging.getLogger(__name__)
 
+# One float64 N×N array at this many nodes takes 3.2 GB; no larger one is made.
+MAX_DENSE_NODES = 20000
+
+
+def check_dense(n, what):
+    """Refuse a dense n×n array above ``MAX_DENSE_NODES`` before it is allocated.
+
+    A failed allocation is not caught: with memory overcommit a large array
+    can be granted and the process killed later, so the size is checked first.
+    """
+    if n > MAX_DENSE_NODES:
+        raise InvalidParamsError(
+            f"{what}: a dense {n}x{n} array is above the cap of {MAX_DENSE_NODES}; the O(E) "
+            "routes are centrality, and stationary (without --check) or simulate with "
+            "--walk turw|nbcrw")
+
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -69,6 +85,7 @@ class Graph:
 
     @property
     def adjacency(self):
+        check_dense(self.n, "the adjacency matrix")
         a = np.zeros((self.n, self.n))
         a[self.arcs] = 1.0
         return a

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailureError, InvalidParamsError, NotConnectedError, TreeGraphError
-from .graph import validate
-from .spectral import TOL, leading_eig
+from .graph import check_dense, validate
+from .spectral import TOL, lanczos_leading, leading_eig
 
 # The explicit B takes (2E)^2 doubles, so verify_b_vs_m refuses larger graphs.
 MAX_DIRECTED_EDGES = 400
@@ -48,6 +48,7 @@ def build_nb_matrix(g):
 
 def build_m_matrix(g):
     """2Nx2N block matrix [[A, I-D], [I, 0]] sharing B's real spectrum."""
+    check_dense(2 * g.n, "the reduced non-backtracking matrix M")
     a = g.adjacency
     n = g.n
     eye = np.eye(n)
@@ -60,6 +61,16 @@ def _adj_matvec(g, v):
     """A v from the edge list, O(N + E) with no dense adjacency."""
     src, dst = g.arcs
     return np.bincount(src, weights=v[dst], minlength=g.n)
+
+
+def eigenvector_centrality(g):
+    """Leading adjacency eigenpair (lambda_1, psi_1) by Lanczos on ``v -> A v``.
+
+    A :class:`LeadingEigenpair` with ``path="lanczos"``; no N×N array is
+    formed.  Like the adjacency eigenvector of MERW, it checks no
+    connectivity: ``cmd_centrality`` runs ``nb_centrality`` first.
+    """
+    return lanczos_leading(lambda v: _adj_matvec(g, v), size=g.n)
 
 
 def _m_operator(g):

@@ -1,4 +1,4 @@
-"""Eigensolvers: dense symmetric decomposition and leading-eigenpair power iteration."""
+"""Eigensolvers: dense symmetric decomposition, leading-eigenpair power iteration and Lanczos."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParamsError
+from .errors import ConvergenceFailureError, InvalidParamsError
+from .graph import MAX_DENSE_NODES
 
 # Convergence and symmetry tolerance, relative to the magnitude of the result.
 TOL = 1e-12
@@ -18,7 +19,7 @@ class LeadingEigenpair:
     vector: np.ndarray = field(repr=False)
     residual: float = 0.0
     iterations: int = 0
-    path: str = "power"  # "dense" when the dense fallback produced the pair
+    path: str = "power"  # "dense" for the dense fallback, "lanczos" for lanczos_leading
 
 
 def sym_eig(m):
@@ -68,6 +69,13 @@ def _dense_leading(m):
     return value, vec, residual
 
 
+def _start_vector(size):
+    # Deterministic generic start; structured vectors (e.g. all-ones) can be
+    # exact non-dominant eigenvectors and freeze the iteration.
+    v = np.random.default_rng(0x5EED).random(size) + 0.5
+    return v / np.linalg.norm(v)
+
+
 def leading_eig(apply, size, dense):
     """Leading (largest real) eigenpair of a square operator by power iteration.
 
@@ -92,10 +100,7 @@ def leading_eig(apply, size, dense):
     vector has a component along the Perron vector, which each step scales
     by kappa + 1 > 0, so the iterate never vanishes.
     """
-    # Deterministic generic start; structured vectors (e.g. all-ones) can be
-    # exact non-dominant eigenvectors and freeze the iteration.
-    v = np.random.default_rng(0x5EED).random(size) + 0.5
-    v /= np.linalg.norm(v)
+    v = _start_vector(size)
     value = 0.0
     residual = np.inf
     it = 0
@@ -116,3 +121,66 @@ def leading_eig(apply, size, dense):
         path = "dense"
     v = _sign_fix(v)
     return LeadingEigenpair(value=value, vector=v, residual=residual, iterations=it, path=path)
+
+
+def lanczos_leading(apply, size):
+    """Largest eigenpair of a symmetric operator by Lanczos with full reorthogonalisation.
+
+    ``apply`` maps ``v -> A v`` for a symmetric A of dimension ``size``.  The
+    Krylov basis is held as rows, each orthogonalised against all earlier ones
+    by classical Gram-Schmidt run twice (Parlett, *The Symmetric Eigenvalue
+    Problem*, 1998), so k steps cost k products with A plus O(k^2 N) and keep
+    k·N numbers; the rows grow by doubling.  Every max(8, k // 4) steps the
+    k×k tridiagonal T_k is diagonalised.  When the Ritz estimate
+    |beta_k s_k| of its largest Ritz pair is at most 0.1·TOL·max(1, |theta|),
+    the Ritz vector y is formed and certified by the same max-norm residual
+    bound as :func:`leading_eig`, with the Rayleigh quotient as the value.
+    At a breakdown (the new direction falls to TOL·|A v|) or at k == size
+    the Krylov space is invariant and the Ritz pair is exact, so a pair that
+    still misses the bound raises ``ConvergenceFailureError``; so does a
+    basis that would pass MAX_DENSE_NODES² entries.  The vector has unit
+    2-norm and its largest-magnitude entry is positive.
+    """
+    v = _start_vector(size)
+    max_rows = max(1, MAX_DENSE_NODES**2 // size)
+    basis = np.empty((min(size, 16, max_rows), size))
+    alpha, beta = [], []
+    k = 0
+    check_at = 8
+    while True:
+        if k == basis.shape[0]:
+            if k >= max_rows:
+                raise ConvergenceFailureError(
+                    f"Lanczos basis would pass {MAX_DENSE_NODES}² entries after {k} steps")
+            grown = np.empty((min(2 * k, size, max_rows), size))
+            grown[:k] = basis
+            basis = grown
+        basis[k] = v
+        w = apply(v)
+        scale = float(np.linalg.norm(w))
+        q = basis[: k + 1]
+        coef = q @ w
+        alpha.append(float(coef[k]))
+        w -= coef @ q
+        w -= (q @ w) @ q
+        b = float(np.linalg.norm(w))
+        k += 1
+        final = k == size or b <= TOL * scale
+        if final or k >= check_at:
+            check_at = k + max(8, k // 4)
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            if final or abs(b * s[-1, -1]) <= 0.1 * TOL * max(1.0, abs(theta[-1])):
+                y = s[:, -1] @ q
+                y /= np.linalg.norm(y)
+                ay = apply(y)
+                value = float(y @ ay)
+                residual = float(np.max(np.abs(ay - value * y)))
+                if residual <= TOL * max(1.0, abs(value)):
+                    return LeadingEigenpair(value=value, vector=_sign_fix(y), residual=residual,
+                                            iterations=k, path="lanczos")
+                if final:
+                    raise ConvergenceFailureError(
+                        f"Lanczos residual {residual:.3e} on an invariant Krylov space",
+                        residual=residual)
+        beta.append(b)
+        v = w / b

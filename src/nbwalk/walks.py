@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParamsError, NotConnectedError, ZeroDenominatorError
-from .graph import reaches_all
+from .graph import check_dense, reaches_all
 from .nbcentrality import nb_centrality
 from .spectral import _sign_fix, sym_eig
 
@@ -42,7 +42,8 @@ class ReversibleWalk:
 
     ``w[k] = x[src[k]] x[dst[k]]`` over the 2E arcs (src, dst) = ``g.arcs``,
     and the strengths are s = W 1.  No N×N array is kept: ``transition`` and
-    ``laplacian`` each scatter ``w`` onto a fresh dense matrix.  A disconnected
+    ``laplacian`` each scatter ``w`` onto a fresh dense matrix, refused above
+    ``graph.MAX_DENSE_NODES`` nodes.  A disconnected
     graph is refused first, then a zero strength; every s_i > 0 needs every
     x_i > 0, so the support of W is then the connected graph itself.
     """
@@ -64,6 +65,7 @@ class ReversibleWalk:
     def _dense(self, values):
         """The N×N matrix with ``values`` on the arcs and zeros elsewhere."""
         n = self.s.shape[0]
+        check_dense(n, f"the {self.kind.value} walk")
         m = np.zeros((n, n))
         m[self.src, self.dst] = values
         return m
@@ -84,11 +86,12 @@ class ReversibleWalk:
 
 
 def adjacency_leading_eigvec(g):
-    """Positive unit eigenvector psi_1 of the adjacency's leading eigenvalue.
+    """Positive unit eigenvector psi_1 of the adjacency's leading eigenvalue: MERW's potential.
 
-    It checks no connectivity: ``ReversibleWalk`` refuses a disconnected
-    graph before it reads the potential, and ``cmd_centrality`` runs
-    ``nb_centrality`` first.
+    A dense ``eigh`` of the N×N adjacency.  It checks no connectivity:
+    ``ReversibleWalk`` refuses a disconnected graph before it reads the
+    potential.  ``cmd_centrality`` takes psi_1 from the matrix-free
+    ``nbcentrality.eigenvector_centrality`` instead.
     """
     return _sign_fix(sym_eig(g.adjacency)[1][:, -1])
 

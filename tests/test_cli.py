@@ -67,6 +67,15 @@ def test_centrality_rose(tmp_path, capsys):
     assert out["solver"]["path"] == "power"
     assert out["solver"]["iterations"] > 0
     assert isinstance(out["solver"]["polished"], bool)
+    # psi_1 of two 4-cycles on a hub (lambda_1 = sqrt(6)): hub 1/sqrt(3), the
+    # hub's neighbours 1/(2 sqrt(2)) each, the far corners 1/(2 sqrt(3)).
+    psi = np.array(out["eigenvector_centrality"])
+    expected = np.array([2.0, np.sqrt(1.5), np.sqrt(1.5), 1.0, np.sqrt(1.5), np.sqrt(1.5), 1.0])
+    assert np.max(np.abs(psi - expected / np.sqrt(12.0))) <= 1e-12
+    evc = out["eigenvector_solver"]
+    assert evc["path"] == "lanczos"
+    assert evc["iterations"] > 0
+    assert 0.0 <= evc["residual"] <= 1e-12 * np.sqrt(6.0)
     assert out["manifest"]["command"] == "centrality"
     assert out["manifest"]["input_digest"]
 
@@ -154,16 +163,21 @@ def test_huge_node_ids_fail_before_any_allocation(tmp_path, command, text, exit_
     assert proc.stdout == ""
 
 
+def big_ring_file(tmp_path):
+    """A 30000-node ring with the chord (0, 15000): over the dense-array cap."""
+    n = 30000
+    edges = [f"{i} {(i + 1) % n}" for i in range(n)] + [f"0 {n // 2}"]
+    return write_graph(tmp_path, "ring.txt", "\n".join(edges) + "\n")
+
+
 @pytest.mark.parametrize("mode_args", [
     ("--mode", "stationary", "--burn-in", "10"),
     ("--mode", "hitting", "--source", "0", "--target", "15000"),
 ], ids=["stationary", "hitting"])
 def test_simulate_steps_on_arcs_where_no_dense_matrix_fits(tmp_path, mode_args):
-    # A 30000-node ring with one chord: an N×N float array takes 7.2 GB, far
-    # above the child's 2 GB of address space, so the walker must not form one.
-    n = 30000
-    edges = [f"{i} {(i + 1) % n}" for i in range(n)] + [f"0 {n // 2}"]
-    path = write_graph(tmp_path, "ring.txt", "\n".join(edges) + "\n")
+    # An N×N float array takes 7.2 GB, far above the child's 2 GB of address
+    # space, so the walker must not form one.
+    path = big_ring_file(tmp_path)
     proc = run_limited(["--seed", "3", "simulate", path, "--walk", "turw", *mode_args,
                         "--trials", "4", "--max-steps", "200"])
     assert proc.returncode == 0, proc.stderr
@@ -171,6 +185,26 @@ def test_simulate_steps_on_arcs_where_no_dense_matrix_fits(tmp_path, mode_args):
     out = json.loads(proc.stdout)
     assert out["mode"] == mode_args[1]
     assert out["samples"] + out["truncated"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("hitting", "--walk", "turw", "--target", "hub"),
+    ("stationary", "--walk", "turw", "--check"),
+    ("stationary", "--walk", "merw"),
+    ("simulate", "--walk", "merw", "--mode", "stationary", "--trials", "4", "--max-steps", "200"),
+], ids=["hitting-turw", "stationary-turw-check", "stationary-merw", "simulate-merw"])
+def test_dense_routes_are_refused_where_no_dense_matrix_fits(tmp_path, argv):
+    # Each of these routes needs an N×N array (the Laplacian, P or MERW's
+    # dense adjacency), so it is refused as invalid_params before anything is
+    # allocated.
+    proc = run_limited([argv[0], big_ring_file(tmp_path), *argv[1:]])
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert proc.returncode == 6
+    err = json.loads(lines[0])
+    assert err["error"] == "invalid_params"
+    assert "20000" in err["message"] and "centrality" in err["message"]
+    assert proc.stdout == ""
 
 
 def test_stationary_all_walks(tmp_path, capsys):

@@ -9,9 +9,10 @@ import pytest
 
 from nbwalk import (
     Graph, InvalidParamsError, NotConnectedError, RoseSpec, TreeGraphError, WalkKind,
-    build_m_matrix, build_nb_matrix, gen_ba, gen_er, make_rose, nb_centrality,
-    reversible_walk, rose4_oracle, verify_b_vs_m,
+    build_m_matrix, build_nb_matrix, eigenvector_centrality, gen_ba, gen_er, make_rose,
+    nb_centrality, reversible_walk, rose4_oracle, verify_b_vs_m,
 )
+from nbwalk.graph import MAX_DENSE_NODES
 from nbwalk.nbcentrality import _m_operator
 
 from conftest import complete_graph, cycle_graph, dense_pair, star_with_chord
@@ -144,6 +145,28 @@ def test_centrality_memory_is_linear_in_edges(ba20000):
     nc, peak = _traced_peak(lambda: nb_centrality(ba20000))
     assert nc.path == "power"
     assert peak < 32 * 2**20
+
+
+def test_eigenvector_centrality_memory_is_linear_in_edges(ba20000, monkeypatch):
+    # The dense adjacency of BA(20000, 2) would take 3.2 GB and its eigh far
+    # more; Lanczos keeps a basis of about 50 vectors of length N.
+    def no_adjacency(self):
+        raise AssertionError("eigenvector_centrality read the dense adjacency")
+
+    monkeypatch.setattr(Graph, "adjacency", property(no_adjacency))
+    pair, peak = _traced_peak(lambda: eigenvector_centrality(ba20000))
+    assert pair.path == "lanczos"
+    assert pair.residual <= 1e-12 * pair.value
+    assert np.all(pair.vector > 0)
+    assert peak < 32 * 2**20
+
+
+def test_dense_matrices_are_refused_above_the_cap():
+    # Both refusals come before any allocation, so nothing large is made here.
+    with pytest.raises(InvalidParamsError, match="adjacency"):
+        cycle_graph(MAX_DENSE_NODES + 1).adjacency
+    with pytest.raises(InvalidParamsError, match="reduced non-backtracking"):
+        build_m_matrix(cycle_graph(MAX_DENSE_NODES // 2 + 1))
 
 
 @pytest.mark.parametrize("kind", [WalkKind.TURW, WalkKind.NBCRW])

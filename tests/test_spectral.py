@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from nbwalk import (
-    InvalidParamsError, Graph, RoseSpec, build_m_matrix, leading_eig, make_rose, sym_eig,
+    ConvergenceFailureError, InvalidParamsError, Graph, RoseSpec, build_m_matrix, gen_ws,
+    lanczos_leading, leading_eig, make_rose, sym_eig,
 )
+from nbwalk.nbcentrality import _adj_matvec
 
 from conftest import complete_graph, cycle_graph, dense_pair, star_with_chord
 from oracles import laplacian
@@ -138,3 +140,68 @@ def test_leading_eig_deterministic():
     b = dense_pair(m)
     assert a.value == b.value
     assert a.vector.tobytes() == b.vector.tobytes()
+
+
+def adjacency_lanczos(g):
+    return lanczos_leading(lambda v: _adj_matvec(g, v), size=g.n)
+
+
+def ladder_graph(n):
+    """Two n-rings joined rung by rung: 3-regular."""
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    return Graph.from_edges(2 * n, ring + [(n + u, n + v) for u, v in ring]
+                            + [(i, n + i) for i in range(n)])
+
+
+def test_lanczos_matches_eigh(corpus):
+    roses = [(f"rose-m{m}", make_rose(RoseSpec(m=m))) for m in (2, 10, 80)]
+    for name, g in corpus + roses + [("ws-510-6", gen_ws(510, 6, 0.1, 2))]:
+        evals, evecs = np.linalg.eigh(g.adjacency)
+        psi = evecs[:, -1] * np.sign(evecs[:, -1].sum())
+        pair = adjacency_lanczos(g)
+        assert pair.path == "lanczos", name
+        assert abs(pair.value - evals[-1]) <= 1e-12 * max(1.0, evals[-1]), name
+        assert np.max(np.abs(pair.vector - psi)) <= 1e-12, name
+        assert pair.residual <= 1e-12 * max(1.0, pair.value), name
+        assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12), name
+
+
+@pytest.mark.parametrize("g, degree", [(cycle_graph(101), 2), (ladder_graph(40), 3)],
+                         ids=["ring", "ladder"])
+def test_lanczos_regular_graph_is_uniform(g, degree):
+    pair = adjacency_lanczos(g)
+    assert pair.value == pytest.approx(degree, abs=1e-12)
+    assert np.max(np.abs(pair.vector - 1.0 / np.sqrt(g.n))) <= 1e-12
+
+
+def test_lanczos_breakdown_gives_exact_pair():
+    # A of K5 is J - I, so the Krylov space of any start vector is spanned by
+    # it and the all-ones vector: the second step breaks down.
+    pair = adjacency_lanczos(complete_graph(5))
+    assert pair.iterations == 2
+    assert pair.value == pytest.approx(4.0, abs=1e-14)
+    assert np.max(np.abs(pair.vector - 1.0 / np.sqrt(5.0))) <= 1e-15
+
+
+def test_lanczos_star_takes_the_positive_root():
+    # The spectrum of a star is +-sqrt(n - 1) and zeros; the largest is the positive root.
+    pair = adjacency_lanczos(star_graph(9))
+    assert pair.value == pytest.approx(3.0, abs=1e-12)
+    assert pair.vector[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+    assert np.all(pair.vector > 0)
+
+
+def test_lanczos_deterministic():
+    g = gen_ws(510, 6, 0.1, 2)
+    a, b = adjacency_lanczos(g), adjacency_lanczos(g)
+    assert a.iterations == b.iterations
+    assert a.value == b.value
+    assert a.vector.tobytes() == b.vector.tobytes()
+
+
+def test_lanczos_basis_is_capped(monkeypatch):
+    # A ring of 400 needs far more than 4 basis rows of 400 entries, the most
+    # a cap of 40 nodes allows: the solver refuses instead of growing the basis.
+    monkeypatch.setattr("nbwalk.spectral.MAX_DENSE_NODES", 40)
+    with pytest.raises(ConvergenceFailureError, match="Lanczos basis"):
+        adjacency_lanczos(cycle_graph(400))
