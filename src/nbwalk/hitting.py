@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IllConditionedError, InvalidParamsError
-from .graph import reaches_all
+from .errors import IllConditionedError
 from .nbcentrality import nb_centrality  # noqa: F401  -- benchmarks/tests/test_tracer.py expects it
-from .walks import reversible_walk
+from .walks import _fundamental_solve, reversible_walk
 
 
 class HittingReport:
@@ -44,14 +43,7 @@ def hitting_linear(p):
     T_ij = (G_jj - G_ij) / π_j solves the absorbing system (I - P₋ⱼ) t = 1.
     """
     n = p.p.shape[0]
-    src, dst = np.divmod(np.flatnonzero(p.p > 0), n)  # the arcs of P > 0, in row order
-    back = np.argsort(dst, kind="stable")
-    if not (reaches_all(n, src, dst) and reaches_all(n, dst[back], src[back])):
-        raise InvalidParamsError("transition support not strongly connected: chain reducible")
-    a = 1.0 / n - p.p
-    a[np.diag_indices(n)] += 1.0
-    t = np.linalg.solve(a, np.eye(n))  # G, turned into T in place below
-    del a
+    t = _fundamental_solve(p, np.eye(n))  # G, turned into T in place below
     pi = t.mean(axis=0)
     t -= np.diag(t).copy()
     t /= -pi

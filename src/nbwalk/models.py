@@ -147,9 +147,9 @@ def gen_er(n, p, seed):
     if n < 2 or not (0.0 <= p <= 1.0):
         raise InvalidParamsError(f"invalid ER parameters n={n}, p={p}")
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < p
-    edges = list(zip(iu[mask].tolist(), ju[mask].tolist()))
+    edges = []
+    for i in range(n - 1):  # one uniform per pair (i, j > i), row by row: O(n) scratch
+        edges += [(i, j) for j in (np.flatnonzero(rng.random(n - 1 - i) < p) + i + 1).tolist()]
     return Graph.from_edges(n, edges)
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParamsError
+from .graph import MAX_DENSE_NODES
 
 RNG_METADATA = {
     "algorithm": "numpy PCG64",
@@ -42,6 +43,13 @@ class SimResult:
     estimate_excluding_truncated: float = float("nan")
     estimate_cap_bound: float = float("nan")
     rng: dict = field(default_factory=lambda: dict(RNG_METADATA))
+
+
+def _check_entries(count, what):
+    """Refuse an array of ``count`` entries above ``MAX_DENSE_NODES``² before it is allocated."""
+    if count > MAX_DENSE_NODES**2:
+        raise InvalidParamsError(
+            f"{what}: {count} entries are above the cap of MAX_DENSE_NODES² = {MAX_DENSE_NODES**2}")
 
 
 def _stepper(walk):
@@ -81,6 +89,7 @@ def simulate_stationary(walk, cfg):
     length = cfg.max_steps // chains
     if length < 1:
         raise InvalidParamsError("max_steps too small for batch-means error estimate")
+    _check_entries(chains * n, f"{chains} chains of visit counts on {n} nodes")
     step = _stepper(walk)
     rng = np.random.default_rng([cfg.seed])
     nodes = np.zeros(chains, dtype=np.intp)
@@ -112,6 +121,7 @@ def simulate_hitting(walk, source, target, cfg):
         raise InvalidParamsError("source and target must differ")
     if not (0 <= source < n and 0 <= target < n):
         raise InvalidParamsError("source/target out of range")
+    _check_entries(cfg.trials, f"{cfg.trials} trials")
     step = _stepper(walk)
     rng = np.random.default_rng([cfg.seed])
     steps = np.full(cfg.trials, float(cfg.max_steps))  # truncated trials keep the cap

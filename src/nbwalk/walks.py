@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParamsError, NotConnectedError, ZeroDenominatorError
+from .errors import (
+    IllConditionedError, InvalidParamsError, NotConnectedError, ZeroDenominatorError,
+)
 from .graph import check_dense, reaches_all
 from .nbcentrality import nb_centrality
 from .spectral import _sign_fix, sym_eig
@@ -121,17 +123,29 @@ def stationary_closed(kind, g):
     return reversible_walk(kind, g).stationary()
 
 
-def stationary_generic(p):
-    """Oracle: solve pi P = pi with the normalization row appended."""
+def _fundamental_solve(p, rhs, transpose=False):
+    """Solve (I - P + 1uᵀ) x = rhs, u = 1/n, or its transpose: nonsingular iff P is irreducible."""
     mat = p.p
     n = mat.shape[0]
-    a = np.vstack([mat.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    pi, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < n:
-        raise InvalidParamsError("singular stationary system: chain is reducible")
-    res = float(np.max(np.abs(a @ pi - b)))
+    src, dst = np.divmod(np.flatnonzero(mat > 0), n)  # the arcs of P > 0, in row order
+    back = np.argsort(dst, kind="stable")  # node 0 must reach all along them and reversed
+    if not (reaches_all(n, src, dst) and reaches_all(n, dst[back], src[back])):
+        raise InvalidParamsError("transition support not strongly connected: chain reducible")
+    if not (np.all(mat >= 0) and np.all(np.abs(mat.sum(axis=1) - 1.0) <= 1e-12)):
+        raise InvalidParamsError("transition matrix not stochastic: an entry < 0 or a row sum off 1 by > 1e-12")
+    a = 1.0 / n - mat
+    a[np.diag_indices(n)] += 1.0
+    try:
+        return np.linalg.solve(a.T if transpose else a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(f"{p.kind.value} chain: I - P + 1uᵀ is numerically singular") from exc
+
+
+def stationary_generic(p):
+    """Oracle: pi from (I - P + 1uᵀ)ᵀ pi = u, which only the stationary pi with sum 1 solves."""
+    n = p.p.shape[0]
+    pi = _fundamental_solve(p, np.full(n, 1.0 / n), transpose=True)
+    res = float(np.max(np.abs(pi - p.p.T @ pi + (pi.sum() - 1.0) / n)))  # of that system
     if res > 1e-8:
         raise InvalidParamsError(f"stationary solve residual {res:.3e} too large")
     return StationaryDistribution(kind=p.kind, pi=pi, method="linear_solve")

@@ -1,4 +1,4 @@
-"""The paper's formulas and the per-target absorbing solves, as reference oracles for the tests.
+"""The paper's formulas, the per-target absorbing solves and the ER generator, as test oracles.
 
 None of these is a production path: the library computes every walk from one
 reversible-walk kernel, and the tests hold it to these independent routes.
@@ -9,10 +9,22 @@ from __future__ import annotations
 import numpy as np
 
 from nbwalk import (
-    HittingReport, NotConnectedError, StationaryDistribution, WalkKind, ZeroDenominatorError,
+    Graph, HittingReport, NotConnectedError, StationaryDistribution, WalkKind, ZeroDenominatorError,
     nb_centrality, sym_eig, validate,
 )
 from nbwalk.spectral import _sign_fix
+
+
+def gen_er_reference(n, p, seed):
+    """Erdos-Renyi G(n, p) from one uniform per pair of ``np.triu_indices(n, 1)``, drawn at once.
+
+    ``gen_er`` draws the same stream row by row; this keeps the O(n²) index
+    arrays as the reference for its edge sets.
+    """
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    mask = rng.random(iu.size) < p
+    return Graph.from_edges(n, list(zip(iu[mask].tolist(), ju[mask].tolist())))
 
 
 def laplacian(g):

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +188,19 @@ def test_simulate_steps_on_arcs_where_no_dense_matrix_fits(tmp_path, mode_args):
     assert out["samples"] + out["truncated"] > 0
 
 
+@pytest.mark.parametrize("mode_args", [
+    ("--mode", "hitting", "--source", "1", "--target", "0", "--trials", "400000001"),
+    ("--mode", "stationary", "--trials", str(57142858**2), "--max-steps", "57142858"),
+], ids=["hitting", "stationary"])
+def test_simulate_trials_above_the_dense_cap_are_refused(tmp_path, mode_args):
+    # Just over MAX_DENSE_NODES² = 4e8 walker entries (trials, or chains × 7
+    # nodes), refused before any allocation; the 2 GB child could not hold them.
+    proc = run_limited(["simulate", rose2_file(tmp_path), "--walk", "turw", *mode_args])
+    assert proc.returncode == 6, proc.stderr
+    assert json.loads(proc.stderr)["error"] == "invalid_params"
+    assert "above the cap" in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ("hitting", "--walk", "turw", "--target", "hub"),
     ("stationary", "--walk", "turw", "--check"),
@@ -329,7 +343,7 @@ def test_hitting_matrix_json_is_exact(tmp_path, capsys):
 
     path = rose2_file(tmp_path)
     out = run_json(capsys, ["hitting", path, "--walk", "merw", "--method", "linear"])
-    g = parse_edge_list(open(path).read())
+    g = parse_edge_list(Path(path).read_text())
     expected = hitting_linear(transition(WalkKind.MERW, g)).t
     assert np.array_equal(np.array(out["reports"][0]["t_matrix"]), expected)
 
@@ -338,9 +352,9 @@ def test_generate_er_complete(tmp_path, capsys):
     path = str(tmp_path / "er.txt")
     assert main(["-o", path, "generate", "--model", "er", "--n", "10", "--p", "1.0"]) == 0
     capsys.readouterr()
-    lines = [l for l in open(path).read().splitlines() if l and not l.startswith(("#", "%"))]
+    lines = [l for l in Path(path).read_text().splitlines() if l and not l.startswith(("#", "%"))]
     assert len(lines) == 45
-    header = open(path).read().splitlines()[0]
+    header = Path(path).read_text().splitlines()[0]
     assert header.startswith("# model=er")
 
 
@@ -349,7 +363,7 @@ def test_generate_ba_edge_count(tmp_path, capsys):
     assert main(["--seed", "1", "-o", path, "generate", "--model", "ba", "--n", "100",
                  "--m-attach", "2"]) == 0
     capsys.readouterr()
-    lines = [l for l in open(path).read().splitlines() if l and not l.startswith(("#", "%"))]
+    lines = [l for l in Path(path).read_text().splitlines() if l and not l.startswith(("#", "%"))]
     assert len(lines) == 197
 
 
@@ -360,7 +374,7 @@ def test_generate_deterministic(tmp_path, capsys):
     assert main(["-o", a] + argv) == 0
     assert main(["-o", b] + argv) == 0
     capsys.readouterr()
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_generate_missing_params_exit_code(capsys):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from nbwalk import (
-    Graph, InvalidParamsError, NotConnectedError, ReversibleWalk, RoseSpec, TransitionMatrix,
-    WalkKind, eq26_audit, hitting_linear, hitting_spectral, hub_node, gen_ba, make_rose,
-    potential, reversible_walk, stationary_closed, transition, walk_hitting,
+    Graph, IllConditionedError, InvalidParamsError, NotConnectedError, ReversibleWalk, RoseSpec,
+    TransitionMatrix, WalkKind, eq26_audit, hitting_linear, hitting_spectral, hub_node, gen_ba,
+    make_rose, potential, reversible_walk, stationary_closed, stationary_generic, transition,
+    walk_hitting,
 )
 from nbwalk.hitting import _invert_lower
 
@@ -68,9 +69,11 @@ def _count_linalg_calls(monkeypatch, *names):
 
 def test_linear_is_one_solve(monkeypatch):
     p = transition(WalkKind.NBCRW, make_rose(RoseSpec(m=4)))
-    calls = _count_linalg_calls(monkeypatch, "solve")
+    calls = _count_linalg_calls(monkeypatch, "solve", "lstsq")
     hitting_linear(p)
     assert calls["solve"] == 1
+    stationary_generic(p)
+    assert calls == {"solve": 2, "lstsq": 0}
 
 
 @pytest.mark.parametrize("graph", [make_rose(RoseSpec(m=4)), gen_ba(150, 2, 3)],
@@ -113,6 +116,10 @@ def _two_triangles():
     return p
 
 
+LINEAR_ORACLES = pytest.mark.parametrize(
+    "oracle", [hitting_linear, stationary_generic], ids=["hitting_linear", "stationary_generic"])
+
+
 @pytest.mark.parametrize("p", [
     _two_triangles(),
     np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]]),  # node 2 absorbs
@@ -120,6 +127,36 @@ def _two_triangles():
 def test_linear_refuses_reducible_chain(p):
     with pytest.raises(InvalidParamsError, match="reducible"):
         hitting_linear(TransitionMatrix(kind=WalkKind.TURW, p=p))
+    with pytest.raises(InvalidParamsError, match="reducible"):
+        stationary_generic(TransitionMatrix(kind=WalkKind.TURW, p=p))
+
+
+@LINEAR_ORACLES
+@pytest.mark.parametrize("p", [
+    [[0.0, 2.0], [2.0, 0.0]],  # rows sum to 2: I - P + 1uᵀ is exactly singular
+    [[0.0, 1.0], [1.0 + 1e-11, -1e-11]],  # a negative entry
+    [[0.5, 0.5 + 1e-11], [1.0, 0.0]],  # a row sum off 1 by 1e-11
+    [[np.nan, 1.0], [1.0, 0.0]],
+], ids=["row-sum-2", "negative", "row-sum-off", "nan"])
+def test_linear_refuses_non_stochastic_chain(oracle, p):
+    with pytest.raises(InvalidParamsError, match="stochastic"):
+        oracle(TransitionMatrix(kind=WalkKind.TURW, p=np.array(p)))
+
+
+@LINEAR_ORACLES
+def test_linear_accepts_row_sums_within_tolerance(oracle):
+    oracle(TransitionMatrix(kind=WalkKind.TURW, p=np.array([[0.0, 1.0 + 5e-13], [1.0, 0.0]])))
+
+
+@LINEAR_ORACLES
+def test_linear_singular_solve_is_ill_conditioned(oracle, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    p = transition(WalkKind.TURW, make_rose(RoseSpec(m=2)))
+    with pytest.raises(IllConditionedError, match="turw chain: .* numerically singular"):
+        oracle(p)
 
 
 def test_walk_hitting_refuses_disconnected_support():

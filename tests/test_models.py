@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from nbwalk import (
     InvalidParamsError, RoseSpec, WalkKind, gen_ba, gen_er, gen_ws, loglog_slope,
     make_rose, rose4_oracle, scaling_table, validate,
 )
+
+from oracles import gen_er_reference
 
 
 def test_rose_m2_shape():
@@ -116,6 +119,29 @@ def test_er_determinism_and_param_validation():
     assert gen_er(30, 0.3, 10).edges != a.edges
     with pytest.raises(InvalidParamsError):
         gen_er(30, 1.5, 0)
+
+
+@pytest.mark.parametrize("n, p, seed", [
+    (50, 0.1, 1), (1000, 0.01, 7), (999, 10 / 998, 3), (300, 0.5, 11),
+    (40, 0.0, 3), (40, 1.0, 3), (2, 0.0, 0), (2, 1.0, 0), (2, 0.5, 5),
+])
+def test_er_draws_the_reference_stream(n, p, seed):
+    # Row by row, one uniform per pair (i, j > i): the same PCG64 stream as
+    # one draw over np.triu_indices(n, 1), so every seeded graph is unchanged.
+    assert gen_er(n, p, seed).edges == gen_er_reference(n, p, seed).edges
+
+
+def test_er_memory_is_linear():
+    # np.triu_indices(5000, 1) alone would take 200 MB; the edge list of
+    # about 25000 edges takes a few MB.
+    tracemalloc.start()
+    try:
+        g = gen_er(5000, 10 / 4999, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 20000 < g.num_edges < 30000
+    assert peak < 16_000_000, peak
 
 
 def test_ba_edge_count_and_connectivity():

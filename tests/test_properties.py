@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from nbwalk import (
     Graph, InvalidParamsError, ReversibleWalk, TransitionMatrix, WalkKind, hitting_linear,
-    hitting_spectral, potential, stationary_closed, transition, validate, walk_hitting,
+    hitting_spectral, potential, stationary_closed, stationary_generic, transition, validate,
+    walk_hitting,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -97,7 +98,7 @@ def test_validate_connectivity_matches_union_find(n, data):
 def test_linear_refuses_exactly_the_reducible_supports(n, data):
     # A directed cycle through every node with up to two arcs dropped, plus
     # random one-way arcs (self-loops included); rows are normalised where
-    # nonempty.
+    # nonempty.  Both fundamental-matrix oracles share the refusal.
     perm = data.draw(st.permutations(range(n)))
     node = st.integers(0, n - 1)
     dropped = data.draw(st.sets(node, max_size=2))
@@ -110,6 +111,9 @@ def test_linear_refuses_exactly_the_reducible_supports(n, data):
                          p=support / np.maximum(support.sum(axis=1, keepdims=True), 1))
     if strongly_connected(support):
         assert np.all(np.isfinite(hitting_linear(p).t))
+        assert np.all(np.isfinite(stationary_generic(p).pi))
     else:
         with pytest.raises(InvalidParamsError, match="reducible"):
             hitting_linear(p)
+        with pytest.raises(InvalidParamsError, match="reducible"):
+            stationary_generic(p)

@@ -12,6 +12,7 @@ from nbwalk import (
     reversible_walk, simulate_hitting, simulate_stationary,
 )
 
+from nbwalk.graph import MAX_DENSE_NODES
 from nbwalk.simulate import _stepper
 
 from conftest import complete_graph
@@ -24,6 +25,19 @@ def test_config_validation():
         SimConfig(seed=0, max_steps=0)
     with pytest.raises(InvalidParamsError):
         SimConfig(seed=0, burn_in=-1)
+
+
+def test_walker_arrays_above_the_dense_cap_are_refused():
+    # Both configurations ask for arrays just over MAX_DENSE_NODES² entries
+    # (3.2 GB of floats each); they are refused before anything is allocated.
+    walk = reversible_walk(WalkKind.TURW, make_rose(RoseSpec(m=2)))  # 7 nodes
+    cap = MAX_DENSE_NODES**2
+    with pytest.raises(InvalidParamsError, match="trials: .* above the cap"):
+        simulate_hitting(walk, 1, 0, SimConfig(seed=0, trials=cap + 1))
+    chains = cap // 7 + 1
+    cfg = SimConfig(seed=0, trials=chains**2, max_steps=chains)
+    with pytest.raises(InvalidParamsError, match=f"{chains} chains of visit counts on 7 nodes"):
+        simulate_stationary(walk, cfg)
 
 
 def test_stationary_triangle_within_three_se():
