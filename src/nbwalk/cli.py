@@ -22,7 +22,7 @@ from . import __version__
 from .errors import (
     IllConditionedError, InvalidParamsError, NbwalkError, NotConnectedError, ParseError,
 )
-from .graph import parse_edge_list
+from .graph import MAX_EXACT_INT, check_entries, parse_edge_list
 from .hitting import eq26_audit, hitting_linear, hitting_spectral, hub_node, walk_hitting
 from .models import (
     RoseSpec, corrected_exponent, gen_ba, gen_er, gen_ws, loglog_slope, make_rose, rose4_oracle,
@@ -37,6 +37,11 @@ from .walks import (
 def _fmt(x):
     """Round-trip-exact text for a float."""
     return format(float(x), ".17g")
+
+
+def _table(entries):
+    """CSV rows of flat records that share their keys: the keys, then each record's values."""
+    return [list(entries[0])] + [list(entry.values()) for entry in entries]
 
 
 def _iterjson(obj, level=0):
@@ -87,9 +92,20 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParamsError(f"{self.prog}: {message}")
 
 
+def _seed(text):
+    """``--seed`` as numpy's generators take it: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser():
     parser = _Parser(prog="nbwalk", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("-o", "--output", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -124,7 +140,7 @@ def build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=float)
     p.add_argument("--m", type=int, help="rose petal count")
-    p.add_argument("--l", type=int, default=4, help="rose cycle length")
+    p.add_argument("--l", type=int, default=RoseSpec.l, help="rose cycle length")
     p.add_argument("--m-attach", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--beta", type=float)
@@ -147,10 +163,10 @@ def build_parser():
     p.add_argument("--mode", choices=["stationary", "hitting"], required=True)
     p.add_argument("--source", default=None, help="node id as written in the graph file")
     p.add_argument("--target", default=None, help="node id as written in the graph file")
-    p.add_argument("--trials", type=int, default=100_000,
+    p.add_argument("--trials", type=int, default=SimConfig.trials,
                    help="hitting: independent trials; stationary: sqrt(trials) chains")
-    p.add_argument("--max-steps", type=int, default=1_000_000)
-    p.add_argument("--burn-in", type=int, default=1000,
+    p.add_argument("--max-steps", type=int, default=SimConfig.max_steps)
+    p.add_argument("--burn-in", type=int, default=SimConfig.burn_in,
                    help="stationary: uncounted steps each chain walks first")
     return parser
 
@@ -226,16 +242,17 @@ def _stationary_entry(kind, g, args):
 def cmd_stationary(args):
     g, digest = _load_graph(args)
     reports = [_stationary_entry(kind, g, args) for kind in _walk_kinds(args.walk)]
-    rows = [["kind", "node", "pi"]]
-    for entry in reports:
-        for node, value in zip(g.labels, entry["pi"]):
-            rows.append([entry["kind"], node, _fmt(value)])
+    rows = [["kind", "node", "pi"]] + [[entry["kind"], node, value] for entry in reports
+                                       for node, value in zip(g.labels, entry["pi"])]
     return {"reports": reports}, digest, rows
 
 
 def cmd_hitting(args):
     g, digest = _load_graph(args)
-    targets = [t.strip() for t in str(args.target).split(",") if t.strip()]
+    # Every target is resolved before any solve; t_global is always reported.
+    targets = [t.strip() for t in str(args.target).split(",")]
+    hub = hub_node(g) if "hub" in targets else None
+    nodes = [_node_index(g, t) for t in targets if t not in ("", "hub", "global")]
     reports = []
     for kind in _walk_kinds(args.walk):
         entry = {"kind": kind.value, "method": args.method}
@@ -258,26 +275,19 @@ def cmd_hitting(args):
                     f"{kind.value} walk: spectral and linear hitting times differ by "
                     f"{gap:.3e}, above {bound:.3e}")
             entry["spectral_vs_linear_max_gap"] = gap
-        for tgt in targets:
-            if tgt == "hub":
-                h = hub_node(g)
-                entry["hub_node"] = g.labels[h]
-                entry["t_hub"] = float(main.t_partial[h])
-            elif tgt == "global":
-                pass  # t_global always present
-            else:
-                node = _node_index(g, tgt)
-                entry[f"t_partial_{g.labels[node]}"] = float(main.t_partial[node])
+        if hub is not None:
+            entry["hub_node"] = g.labels[hub]
+            entry["t_hub"] = float(main.t_partial[hub])
+        for node in nodes:
+            entry[f"t_partial_{g.labels[node]}"] = float(main.t_partial[node])
         if audit:
             report = eq26_audit(spectral, linear)
             entry["eq26_audit"] = {key: report[key] for key in (
                 "t_verbatim", "t_consistent", "max_gap_consistent_vs_linear",
                 "max_gap_verbatim_vs_linear", "note")}
         reports.append(entry)
-    rows = [["kind", "node", "t_partial"]]
-    for entry in reports:
-        for node, value in zip(g.labels, entry["t_partial"]):
-            rows.append([entry["kind"], node, _fmt(value)])
+    rows = [["kind", "node", "t_partial"]] + [[entry["kind"], node, value] for entry in reports
+                                              for node, value in zip(g.labels, entry["t_partial"])]
     return {"reports": reports}, digest, rows
 
 
@@ -305,7 +315,7 @@ def cmd_generate(args):
              + f" seed={args.seed} nbwalk={__version__}"]
     lines.append(f"%N {g.n}")
     lines += [f"{u} {v}" for (u, v) in g.edges]
-    return {"edge_list": "\n".join(lines) + "\n", "n": g.n, "edges": g.num_edges}, None, None
+    return {"edge_list": "\n".join(lines) + "\n"}, None, None
 
 
 def cmd_rose_oracle(args):
@@ -336,13 +346,12 @@ def cmd_rose_oracle(args):
 def cmd_compare(args):
     g, digest = _load_graph(args)
     hub = hub_node(g)
-    rows = [["kind", "n", "ipr", "pi_hub", "t_hub", "t_global", "method"]]
     entries = []
     for kind in WalkKind:
         walk = reversible_walk(kind, g)
         sd = walk.stationary()
         report = walk_hitting(walk)
-        entry = {
+        entries.append({
             "kind": kind.value,
             "n": g.n,
             "ipr": ipr(sd.pi),
@@ -350,11 +359,8 @@ def cmd_compare(args):
             "t_hub": float(report.t_partial[hub]),
             "t_global": report.t_global,
             "method": report.method,
-        }
-        entries.append(entry)
-        rows.append([entry["kind"], g.n, _fmt(entry["ipr"]), _fmt(entry["pi_hub"]),
-                     _fmt(entry["t_hub"]), _fmt(entry["t_global"]), entry["method"]])
-    return {"hub_node": g.labels[hub], "rows": entries}, digest, rows
+        })
+    return {"hub_node": g.labels[hub], "rows": entries}, digest, _table(entries)
 
 
 def cmd_scaling(args):
@@ -362,46 +368,33 @@ def cmd_scaling(args):
         lo, hi = (int(v) for v in args.m_range.split(":"))
     except ValueError:
         raise InvalidParamsError(f"bad --m-range {args.m_range!r}; expected LO:HI")
-    if not (2 <= lo < hi):
-        raise InvalidParamsError("m range must satisfy 2 <= LO < HI")
+    if not (2 <= lo < hi <= MAX_EXACT_INT):
+        raise InvalidParamsError("m range must satisfy 2 <= LO < HI <= 2**53")
     if args.points < 2:
         raise InvalidParamsError(f"--points must be >= 2 to fit a slope, got {args.points}")
+    check_entries(args.points, "--points")
     ms = np.unique(np.geomspace(lo, hi, num=args.points).astype(int))
     rows_data = scaling_table(args.kind, ms.tolist())
-    rows = [["m", "n", "t_global"]]
-    entries = []
-    for m, (n, t) in zip(ms.tolist(), rows_data):
-        entries.append({"m": m, "n": n, "t_global": t})
-        rows.append([m, n, _fmt(t)])
+    entries = [{"m": m, "n": n, "t_global": t} for m, (n, t) in zip(ms.tolist(), rows_data)]
     return {"kind": args.kind, "slope": loglog_slope(rows_data),
-            "exponent": corrected_exponent(rows_data), "rows": entries}, None, rows
+            "exponent": corrected_exponent(rows_data), "rows": entries}, None, _table(entries)
 
 
 def cmd_simulate(args):
     g, digest = _load_graph(args)
-    walk = reversible_walk(args.walk, g)
+    # The configuration and the node ids are checked before the walk is built.
     cfg = SimConfig(seed=args.seed, trials=args.trials, max_steps=args.max_steps,
                     burn_in=args.burn_in)
-    if args.mode == "stationary":
-        result = simulate_stationary(walk, cfg)
-    else:
+    if args.mode == "hitting":
         if args.source is None or args.target is None:
             raise InvalidParamsError("hitting mode needs --source and --target")
-        source, target = _node_index(g, args.source), _node_index(g, args.target)
-        result = simulate_hitting(walk, source, target, cfg)
-    payload = {
-        "mode": result.mode,
-        "walk": args.walk,
-        "estimates": result.estimates,
-        "standard_errors": result.standard_errors,
-        "samples": result.samples,
-        "truncated": result.truncated,
-        "truncated_fraction": result.truncated_fraction,
-        "rng": result.rng,
-    }
-    if result.mode == "hitting":
-        payload["estimate_excluding_truncated"] = result.estimate_excluding_truncated
-        payload["estimate_cap_bound"] = result.estimate_cap_bound
+        nodes = _node_index(g, args.source), _node_index(g, args.target)
+    walk = reversible_walk(args.walk, g)
+    result = (simulate_hitting(walk, *nodes, cfg) if args.mode == "hitting"
+              else simulate_stationary(walk, cfg))
+    payload = dict(vars(result), walk=args.walk)
+    if result.mode == "stationary":  # the truncation bounds are hitting-only
+        del payload["estimate_excluding_truncated"], payload["estimate_cap_bound"]
     return payload, digest, None
 
 
@@ -436,7 +429,8 @@ def _write_output(args, payload, rows, manifest):
         text = payload["edge_list"]
     elif args.format == "csv":
         header = "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n"
-        body = "\n".join(",".join(str(c) for c in row) for row in rows)
+        body = "\n".join(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row)
+                         for row in rows)
         text = header + body + "\n"
     else:
         payload = dict(payload)

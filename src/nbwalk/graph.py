@@ -16,6 +16,9 @@ logger = logging.getLogger(__name__)
 # One float64 N×N array at this many nodes takes 3.2 GB; no larger one is made.
 MAX_DENSE_NODES = 20000
 
+# Floats hold every integer up to 2**53 exactly; a petal count or step cap above it is refused.
+MAX_EXACT_INT = 2**53
+
 
 def check_dense(n, what):
     """Refuse a dense n×n array above ``MAX_DENSE_NODES`` before it is allocated.
@@ -28,6 +31,13 @@ def check_dense(n, what):
             f"{what}: a dense {n}x{n} array is above the cap of {MAX_DENSE_NODES}; the O(E) "
             "routes are centrality, and stationary (without --check) or simulate with "
             "--walk turw|nbcrw")
+
+
+def check_entries(count, what):
+    """Refuse an array of ``count`` entries above ``MAX_DENSE_NODES``² before it is allocated."""
+    if count > MAX_DENSE_NODES**2:
+        raise InvalidParamsError(
+            f"{what}: {count} entries are above the cap of MAX_DENSE_NODES² = {MAX_DENSE_NODES**2}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParamsError
-from .graph import Graph
+from .graph import MAX_EXACT_INT, Graph
 from .walks import WalkKind
 
 CLASS_PAIRS = ("I->H", "P->H", "H->I", "I->I", "P->I", "H->P", "I->P")
@@ -26,6 +27,9 @@ class RoseSpec:
             raise InvalidParamsError(f"petal count must be >= 2, got {self.m}")
         if self.l < 4 or self.l % 2 != 0:
             raise InvalidParamsError(f"cycle length must be even and >= 4, got {self.l}")
+        if 1 + self.m * (self.l - 1) > sys.maxsize:
+            raise InvalidParamsError(
+                f"a rose of {self.m} petals of length {self.l} has more nodes than any array index")
 
 
 def make_rose(spec):
@@ -70,8 +74,8 @@ class RoseOracle4:
 
 def rose4_oracle(m):
     """Every rose-R_m^4 closed form, the per-kind ones keyed by walk kind."""
-    if m < 2:
-        raise InvalidParamsError(f"petal count must be >= 2, got {m}")
+    if not 2 <= m <= MAX_EXACT_INT:
+        raise InvalidParamsError(f"petal count must be in [2, 2**53], got {m}")
     r = math.sqrt(2 * m - 1)
     kappa = (2 * m - 1) ** 0.25
     k2 = kappa * kappa

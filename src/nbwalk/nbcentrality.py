@@ -119,18 +119,6 @@ def _polish_kappa(g, x, kappa0):
     return root, True
 
 
-def _clean_nonnegative(x):
-    """Orient a Perron-like vector positively and wipe sign noise."""
-    if np.sum(x) < 0:
-        x = -x
-    mx = float(np.max(np.abs(x)))
-    if mx == 0.0:
-        raise ConvergenceFailureError("centrality vector is identically zero")
-    x = x.copy()
-    x[np.abs(x) < 1e-14 * mx] = 0.0
-    return np.maximum(x, 0.0)
-
-
 def _leading_node_pair(g):
     """Kappa and cleaned node vector from M, robust to defective spectra.
 
@@ -153,7 +141,10 @@ def _leading_node_pair(g):
         solver = {"path": "unicyclic", "iterations": 0, "polished": False}
         return 1.0, x, _reduced_residual(g, 1.0, x), solver
     pair = leading_eig(_m_operator(g), size=2 * n, dense=lambda: build_m_matrix(g))
-    x = _clean_nonnegative(pair.vector[:n])
+    # leading_eig makes the largest entry positive, and for kappa > 1 it is
+    # in the top block; wipe sign noise and clamp what is left below zero.
+    x = pair.vector[:n]
+    x = np.where(x < 1e-14 * x.max(), 0.0, x)
     kappa, polished = _polish_kappa(g, x, pair.value)
     solver = {"path": pair.path, "iterations": pair.iterations, "polished": polished}
     return kappa, x, _reduced_residual(g, kappa, x), solver

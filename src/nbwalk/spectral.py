@@ -44,21 +44,14 @@ def _sign_fix(v):
 
 
 def _dense_leading(m):
-    """Fallback: dense nonsymmetric eigensolve, largest real eigenvalue.
+    """Fallback: dense nonsymmetric eigensolve, eigenvalue of largest real part.
 
     Needed when the dominant eigenvalue is defective or tied in modulus with
     complex eigenvalues (cycles are the canonical case), where power iteration
     stalls.
     """
     evals, evecs = np.linalg.eig(m)
-    scale = 1.0 + np.abs(evals)
-    # Defective real roots split into conjugate pairs with imaginary parts of
-    # roughly sqrt(machine epsilon); the realness cut must stay above that.
-    real_mask = np.abs(evals.imag) <= 1e-6 * scale
-    if not np.any(real_mask):
-        real_mask = np.abs(evals.imag) == np.min(np.abs(evals.imag))
-    candidates = np.where(real_mask)[0]
-    best = candidates[int(np.argmax(evals.real[candidates]))]
+    best = int(np.argmax(evals.real))
     value = float(evals.real[best])
     vec = np.real(evecs[:, best])
     nrm = np.linalg.norm(vec)
@@ -77,15 +70,16 @@ def _start_vector(size):
 
 
 def leading_eig(apply, size, dense):
-    """Leading (largest real) eigenpair of a square operator by power iteration.
+    """Leading eigenpair (largest real part) of a square operator by power iteration.
 
     ``apply`` maps ``v -> M v`` for an operator of dimension ``size``;
     ``dense`` is a thunk building M, called only if the dense fallback is
     needed.  The iteration runs on ``M + I``; the reported value (a Rayleigh
     quotient) and the residual are those of M.  If the iteration does not
     reach ``TOL`` within 100 steps per dimension (e.g. defective or
-    modulus-tied spectra), a dense eigensolve fallback is used.  The vector
-    has unit 2-norm and its largest-magnitude entry is positive.
+    modulus-tied spectra), a dense eigensolve takes the eigenvalue of largest
+    real part.  The vector has unit 2-norm and its largest-magnitude entry
+    is positive.
 
     The unit shift serves both operators iterated here, the reduced 2Nx2N M
     and the explicit non-backtracking B.  M's eigenvalues are eigenvalues of
@@ -98,7 +92,9 @@ def leading_eig(apply, size, dense):
     inside |lambda| <= sqrt(kappa), where most of them lie on sparse graphs,
     that ratio grows with s, so the smallest safe shift is used.  The start
     vector has a component along the Perron vector, which each step scales
-    by kappa + 1 > 0, so the iterate never vanishes.
+    by kappa + 1 > 0, so the iterate never vanishes.  B >= 0, so no other
+    eigenvalue of either operator has real part kappa or more: the dense
+    fallback's rule picks the Perron root.
     """
     v = _start_vector(size)
     value = 0.0

@@ -496,11 +496,29 @@ MALFORMED = {
     "csv-rose-oracle": (["--format", "csv", "rose-oracle", "5"], 6, "invalid_params"),
     "csv-simulate": (["--format", "csv", "simulate", "{k3}", "--walk", "turw", "--mode",
                       "stationary"], 6, "invalid_params"),
+    "seed-negative-simulate": (["--seed", "-1", "simulate", "{k3}", "--walk", "turw", "--mode",
+                                "stationary"], 6, "invalid_params"),
+    "seed-negative-generate": (["--seed", "-1", "generate", "--model", "ba", "--n", "10",
+                                "--m-attach", "2"], 6, "invalid_params"),
+    "rose-oracle-m-huge": (["rose-oracle", str(10**400)], 6, "invalid_params"),
+    "rose-oracle-m-above-2^53": (["rose-oracle", str(2**53 + 1)], 6, "invalid_params"),
+    "scaling-m-range-huge": (["scaling", "--kind", "turw", "--m-range", f"2:{10**400}"], 6,
+                             "invalid_params"),
+    "simulate-max-steps-huge": (["simulate", "{k3}", "--walk", "turw", "--mode", "hitting",
+                                 "--source", "0", "--target", "1", "--max-steps", str(10**400)],
+                                6, "invalid_params"),
+    "generate-rose-beyond-array-index": (["generate", "--model", "rose", "--m", "2",
+                                          "--l", str(10**60)], 6, "invalid_params"),
+    "scaling-points-huge": (["scaling", "--kind", "turw", "--points", str(10**9)], 6,
+                            "invalid_params"),
 }
+# Rows run in a child with 2 GB of address space: unrefused, they would allocate gigabytes.
+IN_CHILD = {"scaling-points-huge"}
 
 
-@pytest.mark.parametrize("argv,exit_code,error", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_invocation_is_one_json_error(tmp_path, capsys, argv, exit_code, error):
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_invocation_is_one_json_error(tmp_path, capsys, name):
+    argv, exit_code, error = MALFORMED[name]
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes(b"0 1\n1 2\n2 0 # caf\xe9\n")
     files = {
@@ -513,16 +531,38 @@ def test_malformed_invocation_is_one_json_error(tmp_path, capsys, argv, exit_cod
         "absent": str(tmp_path / "absent.txt"),
         "unwritable": str(tmp_path / "no-such-dir" / "out.json"),
     }
-    code = main([arg.format(**files) for arg in argv])
-    captured = capsys.readouterr()
-    assert code == exit_code, captured.err
-    assert captured.out == ""
-    assert "Traceback" not in captured.err
-    lines = captured.err.splitlines()
-    assert len(lines) == 1, captured.err
+    argv = [arg.format(**files) for arg in argv]
+    if name in IN_CHILD:
+        proc = run_limited(argv)
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        code = main(argv)
+        out, err = capsys.readouterr()
+    assert code == exit_code, err
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
     err = json.loads(lines[0])
     assert set(err) == {"error", "message"} and err["message"]
     assert err["error"] == error
+
+
+@pytest.mark.parametrize("argv", [
+    ["hitting", "{rose}", "--walk", "all", "--method", "both", "--target", "hub,global,99"],
+    ["simulate", "{rose}", "--walk", "turw", "--mode", "hitting", "--source", "0",
+     "--target", "99"],
+], ids=["hitting", "simulate"])
+def test_node_ids_are_resolved_before_any_solve(tmp_path, capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve ran before the node ids were resolved")
+
+    for name in ("hitting_spectral", "hitting_linear", "transition", "reversible_walk"):
+        monkeypatch.setattr(f"nbwalk.cli.{name}", refuse)
+    code = main([arg.format(rose=rose2_file(tmp_path)) for arg in argv])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 6
+    assert err == {"error": "invalid_params", "message": "no node with id '99' in the graph file"}
 
 
 def test_help_exits_zero_and_lists_no_tolerance(capsys):

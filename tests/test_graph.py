@@ -66,6 +66,22 @@ def test_parse_header_out_of_range():
         parse_edge_list("%N 2\n0 5")
 
 
+@pytest.mark.parametrize("text, index_base, error, line", [
+    ("0 1\n%N four\n", 0, ParseError, 2),
+    ("# header\n%N 0\n0 1\n", 0, ParseError, 2),
+    ("0 1\n1 2\n2 x\n", 0, ParseError, 3),
+    ("1 2\n2 3\n3 0\n", 1, ParseError, 3),
+    ("0 1\n", 2, InvalidParamsError, None),
+], ids=["malformed-header", "header-zero", "non-integer-id", "id-below-base", "index-base-2"])
+def test_parse_errors_name_their_line(text, index_base, error, line):
+    with pytest.raises(error) as exc:
+        parse_edge_list(text, index_base=index_base)
+    assert type(exc.value) is error
+    assert getattr(exc.value, "line_number", None) == line
+    if line is not None:
+        assert str(exc.value).startswith(f"line {line}: ")
+
+
 def test_parse_empty_input():
     with pytest.raises(ParseError):
         parse_edge_list("# nothing here\n")

@@ -106,6 +106,17 @@ def test_oracle_rejects_small_m():
         rose4_oracle(1)
 
 
+def test_oracle_is_finite_up_to_the_exact_integer_cap():
+    # 2**53 is the largest petal count accepted; every closed form stays finite there.
+    o = rose4_oracle(2**53)
+    values = [o.kappa1, o.x_hub, o.x_int, o.x_per]
+    for kind in WalkKind:
+        values += [*o.pi[kind], o.t_hub[kind], o.t_global[kind], *o.t_class[kind].values()]
+    assert all(math.isfinite(v) for v in values)
+    with pytest.raises(InvalidParamsError):
+        rose4_oracle(2**53 + 1)
+
+
 def test_er_full_probability_gives_complete_graph():
     g = gen_er(10, 1.0, 123)
     assert g.num_edges == 45

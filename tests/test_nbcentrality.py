@@ -241,6 +241,18 @@ def test_pendant_nodes_keep_positive_outgoing_centrality():
     assert np.allclose(nc.y[3:], 0.0, atol=1e-12)
 
 
+def test_centrality_below_rounding_is_wiped_to_zero():
+    # Along a 120-node path hanging off K4 (kappa = 2) the outgoing
+    # centrality halves at every step, so deep in the path it falls below
+    # rounding and the power iterate carries sign noise there.
+    path = [(k, k + 1) for k in range(3, 123)]
+    g = Graph.from_edges(124, [(i, j) for i in range(4) for j in range(i + 1, 4)] + path)
+    nc = nb_centrality(g)
+    assert nc.path == "power"
+    assert np.all(nc.x >= 0) and np.all(nc.y >= 0)
+    assert np.all(nc.x[:30] > 0) and np.count_nonzero(nc.x == 0) > 0
+
+
 def test_verify_b_vs_m_triangle():
     out = verify_b_vs_m(complete_graph(3))
     assert out["max_gap"] <= 1e-10

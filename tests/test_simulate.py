@@ -25,6 +25,11 @@ def test_config_validation():
         SimConfig(seed=0, max_steps=0)
     with pytest.raises(InvalidParamsError):
         SimConfig(seed=0, burn_in=-1)
+    with pytest.raises(InvalidParamsError):
+        SimConfig(seed=-1)
+    with pytest.raises(InvalidParamsError):
+        SimConfig(seed=0, max_steps=2**53 + 1)
+    assert SimConfig(seed=0, max_steps=2**53).max_steps == 2**53
 
 
 def test_walker_arrays_above_the_dense_cap_are_refused():
