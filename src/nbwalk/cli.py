@@ -7,6 +7,7 @@ scaling, simulate.  Global flags go before the subcommand.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -103,6 +104,7 @@ def _seed(text):
     return seed
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser():
     parser = _Parser(prog="nbwalk", description=__doc__)
     parser.add_argument("--seed", type=_seed, default=0)

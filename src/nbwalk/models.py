@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError
-from .graph import MAX_EXACT_INT, Graph
+from .graph import MAX_EXACT_INT, Graph, check_entries
 from .walks import WalkKind
 
 CLASS_PAIRS = ("I->H", "P->H", "H->I", "I->I", "P->I", "H->P", "I->P")
@@ -150,6 +150,7 @@ def gen_er(n, p, seed):
     """Erdos-Renyi G(n, p) with a seeded generator."""
     if n < 2 or not (0.0 <= p <= 1.0):
         raise InvalidParamsError(f"invalid ER parameters n={n}, p={p}")
+    check_entries(n, "ER node count")
     rng = np.random.default_rng(seed)
     edges = []
     for i in range(n - 1):  # one uniform per pair (i, j > i), row by row: O(n) scratch
@@ -165,6 +166,8 @@ def gen_ba(n, m_attach, seed):
     """
     if m_attach < 1 or n < m_attach + 2:
         raise InvalidParamsError(f"invalid BA parameters n={n}, m_attach={m_attach}")
+    check_entries(n, "BA node count")
+    check_entries(n * m_attach, "BA edge count")
     rng = np.random.default_rng(seed)
     m0 = m_attach + 1
     edges = [(i, j) for i in range(m0) for j in range(i + 1, m0)]
@@ -187,6 +190,8 @@ def gen_ws(n, k, beta, seed):
     """Watts-Strogatz ring of even degree k rewired with probability beta."""
     if k < 2 or k % 2 != 0 or k >= n or not (0.0 <= beta <= 1.0):
         raise InvalidParamsError(f"invalid WS parameters n={n}, k={k}, beta={beta}")
+    check_entries(n, "WS node count")
+    check_entries(n * k // 2, "WS edge count")
     rng = np.random.default_rng(seed)
     present = {(u, (u + j) % n) for u in range(n) for j in range(1, k // 2 + 1)}
     present = {(min(u, v), max(u, v)) for (u, v) in present}

@@ -76,11 +76,17 @@ def eigenvector_centrality(g):
 def _m_operator(g):
     """z -> M z for M = [[A, I-D], [I, 0]], without forming M."""
     n = g.n
+    src, dst = g.arcs
     one_minus_d = 1.0 - g.degrees
 
     def apply(z):
-        top, bottom = z[:n], z[n:]
-        return np.concatenate([_adj_matvec(g, top) + one_minus_d * bottom, top])
+        # A fresh array, as leading_eig needs: A z[:n] over the arcs (as in
+        # _adj_matvec), then zeros up to 2N; each block is filled in place.
+        out = np.bincount(src, weights=z[dst], minlength=2 * n)
+        top = out[:n]
+        top += one_minus_d * z[n:]
+        out[n:] = z[:n]
+        return out
 
     return apply
 

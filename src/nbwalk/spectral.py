@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +73,9 @@ def _start_vector(size):
 def leading_eig(apply, size, dense):
     """Leading eigenpair (largest real part) of a square operator by power iteration.
 
-    ``apply`` maps ``v -> M v`` for an operator of dimension ``size``;
+    ``apply`` maps ``v -> M v`` for an operator of dimension ``size`` and
+    must return a fresh array on every call, never ``v`` itself or a buffer
+    it reuses: each step adds ``v`` to the result and normalises it in place.
     ``dense`` is a thunk building M, called only if the dense fallback is
     needed.  The iteration runs on ``M + I``; the reported value (a Rayleigh
     quotient) and the residual are those of M.  If the iteration does not
@@ -103,12 +106,14 @@ def leading_eig(apply, size, dense):
     check_every = 8
     while it < 100 * size:
         for _ in range(check_every):
-            w = apply(v) + v
-            v = w / np.linalg.norm(w)
+            w = apply(v)
+            w += v
+            w /= math.sqrt(w.dot(w))  # np.linalg.norm(w) exactly, without its call overhead
+            v = w
             it += 1
         mv = apply(v)
         value = float(v @ mv)
-        residual = float(np.max(np.abs(mv - value * v)))
+        residual = float(np.abs(mv - value * v).max())
         if residual <= TOL * max(1.0, abs(value)):
             break
     path = "power"

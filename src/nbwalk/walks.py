@@ -53,7 +53,7 @@ class ReversibleWalk:
     def __init__(self, kind, g, x):
         self.kind = WalkKind(kind)
         self.src, self.dst = g.arcs
-        if not reaches_all(g.n, self.src, self.dst):
+        if not g.connected:
             raise NotConnectedError("graph is not connected")
         x = np.asarray(x, dtype=float)
         if np.any(x < 0):

@@ -1,16 +1,20 @@
-"""The paper's formulas, the per-target absorbing solves and the ER generator, as test oracles.
+"""The paper's formulas, the per-target absorbing solves, the ER generator and the per-line
+edge-list parser, as test oracles.
 
 None of these is a production path: the library computes every walk from one
-reversible-walk kernel, and the tests hold it to these independent routes.
+reversible-walk kernel and parses with array operations, and the tests hold
+it to these independent routes.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from nbwalk import (
-    Graph, HittingReport, NotConnectedError, StationaryDistribution, WalkKind, ZeroDenominatorError,
-    nb_centrality, sym_eig, validate,
+    Graph, HittingReport, InvalidParamsError, NotConnectedError, ParseError,
+    StationaryDistribution, WalkKind, ZeroDenominatorError, nb_centrality, sym_eig, validate,
 )
 from nbwalk.spectral import _sign_fix
 
@@ -25,6 +29,85 @@ def gen_er_reference(n, p, seed):
     iu, ju = np.triu_indices(n, k=1)
     mask = rng.random(iu.size) < p
     return Graph.from_edges(n, list(zip(iu[mask].tolist(), ju[mask].tolist())))
+
+
+def graph_reference(n, edges, labels=None):
+    """``(n, edges, labels)`` as ``Graph(n, edges, labels)`` keeps them, checked edge by edge.
+
+    Raises the ``InvalidParamsError`` that ``Graph`` raises, for the first
+    failing check in order: node count, labels, then each edge in turn.
+    """
+    if n < 1:
+        raise InvalidParamsError(f"node count must be >= 1, got {n}")
+    if n > sys.maxsize:
+        raise InvalidParamsError(f"node count {n} is beyond any array index")
+    if labels is None:
+        labels = range(n)
+    if len(labels) != n:
+        raise InvalidParamsError(f"{len(labels)} labels for n={n} nodes")
+    prev = None
+    for (u, v) in edges:
+        if u == v:
+            raise InvalidParamsError(f"self-loop at node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidParamsError(f"edge ({u}, {v}) out of range for n={n}")
+        if u > v:
+            raise InvalidParamsError(f"edge ({u}, {v}) must be listed as ({v}, {u})")
+        if prev is not None and (u, v) <= prev:
+            raise InvalidParamsError(f"edges not sorted and distinct at ({u}, {v})")
+        prev = (u, v)
+    return n, tuple(edges), labels
+
+
+def from_edges_reference(n, edges, labels=None):
+    """``Graph.from_edges`` by a set of (min, max) tuples and ``sorted``."""
+    canonical = {(min(u, v), max(u, v)) for (u, v) in edges}
+    return graph_reference(n, sorted(canonical), labels)
+
+
+def parse_edge_list_reference(text, index_base=0, delimiter=None):
+    """``parse_edge_list`` one line at a time: ``(n, edges, labels, duplicates)`` or its error."""
+    if index_base not in (0, 1):
+        raise InvalidParamsError(f"index_base must be 0 or 1, got {index_base}")
+    header_n = None
+    raw_edges = []
+    max_id = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("%N"):
+            try:
+                header_n = int(line[2:].strip())
+            except ValueError:
+                raise ParseError("malformed %N header", lineno)
+            if header_n < 1:
+                raise ParseError("node count in %N header must be >= 1", lineno)
+            continue
+        tokens = line.split(delimiter)
+        tokens = [t for t in (tok.strip() for tok in tokens) if t]
+        if len(tokens) != 2:
+            raise ParseError(f"expected two node ids, got {len(tokens)} tokens", lineno)
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise ParseError(f"non-integer node id in {tokens!r}", lineno)
+        if u == v:
+            raise ParseError(f"self-loop at node {u}", lineno)
+        if u < index_base or v < index_base:
+            raise ParseError(f"node id below index base {index_base}", lineno)
+        u -= index_base
+        v -= index_base
+        raw_edges.append((u, v))
+        top = max(u, v)
+        max_id = top if max_id is None else max(max_id, top)
+    if header_n is None and max_id is None:
+        raise ParseError("empty edge list and no %N header")
+    n = header_n if header_n is not None else max_id + 1
+    if max_id is not None and max_id >= n:
+        raise ParseError(f"node id {max_id + index_base} out of range for %N {n}")
+    n, edges, labels = from_edges_reference(n, raw_edges, labels=range(index_base, n + index_base))
+    return n, edges, labels, len(raw_edges) - len(edges)
 
 
 def laplacian(g):

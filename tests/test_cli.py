@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nbwalk import InvalidParamsError
 from nbwalk.cli import COMMANDS, EXIT_STDOUT_CLOSED, _iterjson, build_parser, main
 
 
@@ -461,6 +462,28 @@ def test_rerun_determinism_modulo_timing(tmp_path, capsys):
         assert a == b
 
 
+def test_parser_is_built_once_and_each_call_parses_afresh(tmp_path, capsys):
+    """A usage error, then calls that switch subcommands and drop flags, in one process."""
+    assert build_parser() is build_parser()
+    rose = rose2_file(tmp_path)
+    calls = [["centrality", rose, "--bogus"], ["--seed", "5", "stationary", rose, "--check"],
+             ["hitting", rose, "--target", "hub"], ["stationary", rose], ["centrality", rose]]
+    for argv in calls:
+        fresh = build_parser.__wrapped__()
+        try:
+            expected = vars(fresh.parse_args(argv))
+        except InvalidParamsError as exc:
+            expected = str(exc)
+        code = main(argv)
+        captured = capsys.readouterr()
+        if isinstance(expected, str):
+            assert code == 6 and json.loads(captured.err)["message"] == expected
+            continue
+        assert code == 0, captured.err
+        expected.pop("output")
+        assert json.loads(captured.out)["manifest"]["params"] == expected
+
+
 # Every malformed invocation: argv (with graph-file placeholders), exit code, error code.
 MALFORMED = {
     "usage-unknown-flag": (["centrality", "{rose}", "--bogus"], 6, "invalid_params"),
@@ -512,8 +535,15 @@ MALFORMED = {
     "scaling-points-huge": (["scaling", "--kind", "turw", "--points", str(10**9)], 6,
                             "invalid_params"),
 }
+# Generators asked for more nodes than any array may hold, before any loop or allocation.
+GENERATE_ARGS = {"ws": ["--k", "4", "--beta", "0.1"], "er": ["--p", "0.1"],
+                 "ba": ["--m-attach", "2"]}
+for model, extra in GENERATE_ARGS.items():
+    for label, n in (("huge", 10**400), ("1e9", 10**9)):
+        MALFORMED[f"generate-{model}-n-{label}"] = (
+            ["generate", "--model", model, "--n", str(n), *extra], 6, "invalid_params")
 # Rows run in a child with 2 GB of address space: unrefused, they would allocate gigabytes.
-IN_CHILD = {"scaling-points-huge"}
+IN_CHILD = {"scaling-points-huge"} | {f"generate-{model}-n-1e9" for model in GENERATE_ARGS}
 
 
 @pytest.mark.parametrize("name", MALFORMED)

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import logging
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nbwalk import (
-    Graph, InvalidParamsError, ParseError, ReversibleWalk, WalkKind, ZeroDenominatorError,
-    parse_edge_list, reversible_walk, validate,
+    Graph, InvalidParamsError, NotConnectedError, ParseError, ReversibleWalk, WalkKind,
+    ZeroDenominatorError, graph as graph_module, parse_edge_list, reversible_walk, validate,
 )
 
 from conftest import complete_graph
-from oracles import laplacian
+from oracles import from_edges_reference, graph_reference, laplacian, parse_edge_list_reference
+
+EQUIVALENCE_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
 
 def path_graph(n):
@@ -248,3 +255,162 @@ def test_contiguous_labels_are_a_range_at_any_node_count():
     with pytest.raises(InvalidParamsError, match="array index"):
         Graph(n=2**64, edges=((0, 1),))
 
+
+def test_connected_is_one_dfs_per_graph(monkeypatch):
+    calls = []
+    reaches_all = graph_module.reaches_all
+    monkeypatch.setattr(graph_module, "reaches_all", lambda *a: calls.append(a) or reaches_all(*a))
+    g = complete_graph(4)
+    assert validate(g).connected and validate(g).connected
+    reversible_walk(WalkKind.NBCRW, g)
+    assert len(calls) == 1
+    with pytest.raises(NotConnectedError):
+        ReversibleWalk(WalkKind.TURW, Graph.from_edges(4, [(0, 1), (2, 3)]), np.ones(4))
+
+
+def test_graph_is_immutable_and_edges_are_int_pairs():
+    g = Graph.from_edges(4, np.array([[3, 1], [0, 2], [1, 3]]))
+    assert g.edges == ((0, 2), (1, 3)) and all(type(x) is int for e in g.edges for x in e)
+    assert g.edge_array.dtype == np.int64 and not g.edge_array.flags.writeable
+    with pytest.raises(AttributeError):
+        g.n = 5
+    with pytest.raises(InvalidParamsError, match="pairs"):
+        Graph(n=4, edges=((0, 1, 2),))
+
+
+def outcome(build):
+    """What ``build()`` returns, or the type, message and line number of what it raises."""
+    try:
+        return build()
+    except (ParseError, InvalidParamsError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+
+
+def parsed(text, index_base, delimiter):
+    """``parse_edge_list`` as ``(n, edges, labels, duplicates)``; duplicates from its warning."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    graph_module.logger.addHandler(handler)
+    try:
+        g = parse_edge_list(text, index_base=index_base, delimiter=delimiter)
+    finally:
+        graph_module.logger.removeHandler(handler)
+    counts = [int(re.fullmatch(r"(\d+) duplicate edges collapsed", r.getMessage()).group(1))
+              for r in records]
+    assert len(counts) <= 1 and counts != [0]
+    return g.n, g.edges, g.labels, sum(counts)
+
+
+# Tokens that Python's int() takes (signs, underscores, other digits, padding) and some it
+# refuses, and ids past int64.
+ODD_TOKENS = st.sampled_from(["+3", "1_0", "\u0663", "x", "-0", "07", "2_", "1.0", "-1",
+                              str(2**63 - 1), str(2**63), str(2**64 + 5), str(-2**63 - 1),
+                              "\u00a05", ""])
+ODD_HEADERS = st.sampled_from(["", "x", "3 4", "0", "-2", "1_2", "+4", str(2**63), str(2**70)])
+# Line breaks of str.splitlines, and separators that each delimiter splits on or keeps.
+BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c"])
+SEPARATORS = {None: [" ", "\t", "  ", " \t"], ",": [",", " , ", ",,", "\t,", ", ", ", ,"]}
+
+
+@st.composite
+def edge_list_texts(draw):
+    """``(text, index_base, delimiter)``: a plain edge list, or one with odd tokens, headers,
+    separators and token counts in some of its lines."""
+    index_base = draw(st.sampled_from([0, 1]))
+    delimiter = draw(st.sampled_from([None, ","]))
+    odd = draw(st.booleans())
+
+    def token():
+        if odd and draw(st.integers(0, 3)) == 0:
+            return draw(ODD_TOKENS)
+        return str(draw(st.integers(index_base, index_base + 12)))
+
+    def separator():
+        return draw(st.sampled_from(SEPARATORS[delimiter] + (SEPARATORS[","] if odd else [])))
+
+    kinds = ["pair"] * 8 + ["header", "comment", "blank"] + (["one", "three"] if odd else [])
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("pair", "one", "three"):
+            line = token()
+            for _ in range({"pair": 1, "one": 0, "three": 2}[kind]):
+                line += separator() + token()
+        elif kind == "header":
+            count = draw(ODD_HEADERS) if odd and draw(st.booleans()) else str(draw(st.integers(8, 15)))
+            line = "%N" + draw(st.sampled_from(["", " ", "\t"])) + count
+        elif kind == "comment":
+            line = "# " + token()
+        else:
+            line = draw(st.sampled_from(["", "  ", "\t"] + ([","] if odd else [])))
+        if kind != "comment" and draw(st.integers(0, 3)) == 0:
+            line += " # " + token()
+        lines.append(draw(st.sampled_from(["", "", " ", "\t"])) + line + draw(BREAKS))
+    return "".join(lines), index_base, delimiter
+
+
+@EQUIVALENCE_SETTINGS
+@given(case=edge_list_texts())
+def test_parse_matches_the_per_line_reference(case):
+    text, index_base, delimiter = case
+    expected = outcome(lambda: parse_edge_list_reference(text, index_base, delimiter))
+    assert outcome(lambda: parsed(text, index_base, delimiter)) == expected
+
+
+def test_parse_reference_corner_cases_agree():
+    for text in ["%N 5\n%N 3\n0 2\n", "0 1\n%N 0\n", "0 9223372036854775808\n",
+                 "%N 2\n0 18446744073709551616\n", "0 1 # a\x1c1 2\r\n\u0663 0\x0b",
+                 "%N 99999999999999999999\n0 1\n", "1_0 +3\n3 0\n1 10\n", "0 , x\n",
+                 "1,\t,2\n0, ,1\n", "2 ,1\n1 ,, 0\n", ""]:
+        for index_base in (0, 1):
+            for delimiter in (None, ","):
+                expected = outcome(lambda: parse_edge_list_reference(text, index_base, delimiter))
+                assert outcome(lambda: parsed(text, index_base, delimiter)) == expected, text
+
+
+def test_parse_spans_blocks_with_exact_line_numbers(monkeypatch):
+    monkeypatch.setattr(graph_module, "PARSE_BLOCK", 3)
+    text = "%N 6\n0 1\n1 2\n\n2 3\n3 3\n"
+    assert outcome(lambda: parsed(text, 0, None)) == (ParseError, "line 6: self-loop at node 3", 6)
+    text = "0 1\n1 2\n2 0\n0 1\n%N 4\n3 0\n"
+    assert parsed(text, 0, None) == parse_edge_list_reference(text)
+
+
+def rarely(draw, odd, usual):
+    """One of ``odd`` about one time in eight, else a draw from ``usual``."""
+    return draw(st.sampled_from(odd)) if draw(st.integers(0, 7)) == 0 else draw(usual)
+
+
+@EQUIVALENCE_SETTINGS
+@given(data=st.data(), form=st.sampled_from(["as drawn", "canonical", "shuffled", "repeated"]))
+def test_graph_and_from_edges_match_the_reference(data, form):
+    draw = data.draw
+    n = rarely(draw, [-1, 0, 2**62, 2**63], st.integers(1, 8))
+    ids = [-1, -2, 9, 2**63 - 1, 2**63, 2**64, -2**63 - 1]
+    pairs = [(rarely(draw, ids, st.integers(0, 7)), rarely(draw, ids, st.integers(0, 7)))
+             for _ in range(draw(st.integers(0, 8)))]
+    if form != "as drawn":  # mostly valid edge lists, so the checks past the first edge run
+        pairs = sorted({(min(u, v), max(u, v)) for (u, v) in pairs})
+    if form == "shuffled":
+        pairs = draw(st.permutations(pairs))
+    if form == "repeated" and pairs:
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(pairs)))
+    labels = rarely(draw, [(0, 1)], st.none())
+    for build, reference in ((Graph, graph_reference), (Graph.from_edges, from_edges_reference)):
+        expected = outcome(lambda: reference(n, pairs, labels))
+        got = outcome(lambda: (lambda g: (g.n, g.edges, g.labels))(build(n, pairs, labels)))
+        assert got == expected, build
+
+
+def test_parse_memory_stays_below_64_mib():
+    rng = np.random.default_rng(7)
+    u, v = rng.integers(0, 100_000, (2, 200_000)).tolist()
+    text = "%N 100000\n" + "".join(f"{a} {b}\n" for a, b in zip(u, v) if a != b)
+    tracemalloc.start()
+    try:
+        parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
