@@ -45,6 +45,38 @@ def _table(entries):
     return [list(entries[0])] + [list(entry.values()) for entry in entries]
 
 
+# Matrix entries formatted at a time: bounds the writer's scratch arrays, whatever the matrix size.
+WRITE_BLOCK = 1 << 14
+
+
+def _matrix_rows(obj, level):
+    """The rows of a 2-D float64 array as ``_iterjson`` writes them at ``level``, one string each.
+
+    The rows go in blocks of about ``WRITE_BLOCK`` entries.  Where at most
+    half a finite block's entries are distinct, as in the hitting times of a
+    symmetric graph, each distinct value is formatted once: the values are
+    keyed on their bit patterns, so -0.0 and 0.0 stay apart.  A block with a
+    NaN or an infinity is written row by row through ``_iterjson``.
+    """
+    inner = "\n" + "  " * (level + 1)
+    sep, close = "," + inner, "\n" + "  " * level + "]"
+    step = max(1, WRITE_BLOCK // obj.shape[1])
+    for start in range(0, obj.shape[0], step):
+        block = obj[start:start + step]
+        if not np.isfinite(block).all():
+            yield from ("".join(_iterjson(row, level)) for row in block)
+            continue
+        keys, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+        if 2 * keys.size <= block.size:
+            table = np.array(list(map(float.__repr__, keys.view(np.float64).tolist())),
+                             dtype=object)
+            rows = table[inverse.reshape(block.shape)].tolist()  # numpy < 2 returns it flat
+        else:
+            rows = (map(float.__repr__, row) for row in block.tolist())
+        for row in rows:
+            yield "[" + inner + sep.join(row) + close
+
+
 def _iterjson(obj, level=0):
     """Yield the text of ``json.dumps(obj, indent=2, sort_keys=True)``, piece by piece.
 
@@ -68,6 +100,11 @@ def _iterjson(obj, level=0):
         inner = "\n" + "  " * (level + 1)
         text = map(float.__repr__ if obj.dtype.kind == "f" else int.__repr__, obj.tolist())
         yield "[" + inner + ("," + inner).join(text) + "\n" + "  " * level + "]"
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size and obj.dtype == np.float64:
+        inner = "\n" + "  " * (level + 1)
+        for i, row in enumerate(_matrix_rows(obj, level + 1)):
+            yield ("," if i else "[") + inner + row
+        yield "\n" + "  " * level + "]"
     elif isinstance(obj, (dict, list, tuple, np.ndarray)):
         if isinstance(obj, dict):
             brackets = "{}"
@@ -184,13 +221,14 @@ def _load_graph(args):
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8: {exc.reason} at byte {exc.start}")
     delimiter = "," if args.delimiter == "comma" else None
-    g = parse_edge_list(text, index_base=args.index_base, delimiter=delimiter)
+    g, duplicates = parse_edge_list(text, index_base=args.index_base, delimiter=delimiter,
+                                    return_duplicates=True)
     # Every command needs a connected graph.  Refuse too few edges before any
     # O(N) array is made: a huge node id would otherwise exhaust memory first.
     if g.num_edges < g.n - 1:
         raise NotConnectedError(
             f"graph is not connected: {g.num_edges} edges cannot connect {g.n} nodes")
-    return g, hashlib.sha256(raw).hexdigest()
+    return g, {"input_digest": hashlib.sha256(raw).hexdigest(), "duplicate_edges": duplicates}
 
 
 def _node_index(g, node_id):
@@ -206,7 +244,7 @@ def _walk_kinds(value):
 
 
 def cmd_centrality(args):
-    g, digest = _load_graph(args)
+    g, inputs = _load_graph(args)
     nc = nb_centrality(g)
     evc = eigenvector_centrality(g)
     return {
@@ -219,7 +257,7 @@ def cmd_centrality(args):
         "eigenvector_solver": {
             "path": evc.path, "iterations": evc.iterations, "residual": evc.residual},
         "degrees": g.degrees,
-    }, digest, None
+    }, inputs, None
 
 
 def _stationary_entry(kind, g, args):
@@ -242,15 +280,15 @@ def _stationary_entry(kind, g, args):
 
 
 def cmd_stationary(args):
-    g, digest = _load_graph(args)
+    g, inputs = _load_graph(args)
     reports = [_stationary_entry(kind, g, args) for kind in _walk_kinds(args.walk)]
     rows = [["kind", "node", "pi"]] + [[entry["kind"], node, value] for entry in reports
                                        for node, value in zip(g.labels, entry["pi"])]
-    return {"reports": reports}, digest, rows
+    return {"reports": reports}, inputs, rows
 
 
 def cmd_hitting(args):
-    g, digest = _load_graph(args)
+    g, inputs = _load_graph(args)
     # Every target is resolved before any solve; t_global is always reported.
     targets = [t.strip() for t in str(args.target).split(",")]
     hub = hub_node(g) if "hub" in targets else None
@@ -290,7 +328,7 @@ def cmd_hitting(args):
         reports.append(entry)
     rows = [["kind", "node", "t_partial"]] + [[entry["kind"], node, value] for entry in reports
                                               for node, value in zip(g.labels, entry["t_partial"])]
-    return {"reports": reports}, digest, rows
+    return {"reports": reports}, inputs, rows
 
 
 # Per model: the parameters it reads (also its header fields) and its generator.
@@ -346,7 +384,7 @@ def cmd_rose_oracle(args):
 
 
 def cmd_compare(args):
-    g, digest = _load_graph(args)
+    g, inputs = _load_graph(args)
     hub = hub_node(g)
     entries = []
     for kind in WalkKind:
@@ -362,7 +400,7 @@ def cmd_compare(args):
             "t_global": report.t_global,
             "method": report.method,
         })
-    return {"hub_node": g.labels[hub], "rows": entries}, digest, _table(entries)
+    return {"hub_node": g.labels[hub], "rows": entries}, inputs, _table(entries)
 
 
 def cmd_scaling(args):
@@ -383,7 +421,7 @@ def cmd_scaling(args):
 
 
 def cmd_simulate(args):
-    g, digest = _load_graph(args)
+    g, inputs = _load_graph(args)
     # The configuration and the node ids are checked before the walk is built.
     cfg = SimConfig(seed=args.seed, trials=args.trials, max_steps=args.max_steps,
                     burn_in=args.burn_in)
@@ -397,7 +435,7 @@ def cmd_simulate(args):
     payload = dict(vars(result), walk=args.walk)
     if result.mode == "stationary":  # the truncation bounds are hitting-only
         del payload["estimate_excluding_truncated"], payload["estimate_cap_bound"]
-    return payload, digest, None
+    return payload, inputs, None
 
 
 COMMANDS = {
@@ -414,12 +452,14 @@ NO_TABLE = ("centrality", "rose-oracle", "simulate")  # refused with --format cs
 EXIT_STDOUT_CLOSED = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by the signal
 
 
-def _manifest(args, digest, elapsed):
+def _manifest(args, inputs, elapsed):
+    """The run's record; ``inputs`` holds the graph file's fields, None for commands without one."""
     params = {k: v for k, v in sorted(vars(args).items()) if k not in ("output",)}
     return {
         "command": args.command,
         "params": params,
-        "input_digest": digest,
+        "input_digest": None,
+        **(inputs or {}),
         "seed": args.seed,
         "version": __version__,
         "timing_s": elapsed,
@@ -456,9 +496,9 @@ def main(argv=None):
         if args.format == "csv" and args.command in NO_TABLE:
             raise InvalidParamsError(f"{args.command} has no table to write as CSV")
         start = time.perf_counter()
-        payload, digest, rows = COMMANDS[args.command](args)
+        payload, inputs, rows = COMMANDS[args.command](args)
         elapsed = time.perf_counter() - start
-        _write_output(args, payload, rows, _manifest(args, digest, elapsed))
+        _write_output(args, payload, rows, _manifest(args, inputs, elapsed))
     except NbwalkError as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "message": str(exc)}) + "\n")
         return exc.exit_code

@@ -170,7 +170,7 @@ class GraphValidation:
 PARSE_BLOCK = 1 << 14
 
 
-def parse_edge_list(text, index_base=0, delimiter=None):
+def parse_edge_list(text, index_base=0, delimiter=None, *, return_duplicates=False):
     """Parse an edge-list text into a :class:`Graph`.
 
     Lines are those of ``str.splitlines``.  ``#`` starts a comment, and a
@@ -181,6 +181,8 @@ def parse_edge_list(text, index_base=0, delimiter=None):
     comma-separated input, where each token is stripped and empty ones are
     dropped.  Duplicate edges collapse to one with a warning; self-loops are
     rejected.  A malformed line raises ``ParseError`` with its line number.
+    With ``return_duplicates=True`` the result is ``(graph, count)``, where
+    ``count`` is the number of edge lines that repeat an earlier edge.
 
     The text is read in blocks of ``PARSE_BLOCK`` lines with string methods
     mapped over each block, and the ids go straight into int64 arrays; the
@@ -204,9 +206,10 @@ def parse_edge_list(text, index_base=0, delimiter=None):
     if max_id is not None and max_id >= n:
         raise ParseError(f"node id {max_id + index_base} out of range for %N {n}")
     g = Graph.from_edges(n, pairs, labels=range(index_base, n + index_base))
-    if g.num_edges < len(pairs):
-        logger.warning("%d duplicate edges collapsed", len(pairs) - g.num_edges)
-    return g
+    duplicates = len(pairs) - g.num_edges
+    if duplicates:
+        logger.warning("%d duplicate edges collapsed", duplicates)
+    return (g, duplicates) if return_duplicates else g
 
 
 def _parse_block(lines, first, index_base, delimiter, header_n):

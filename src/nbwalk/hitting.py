@@ -36,6 +36,26 @@ class HittingReport:
         return f"HittingReport(kind={self.kind!r}, t_global={self.t_global!r}, method={self.method!r})"
 
 
+# Largest relative error a hitting time may carry before it is refused.
+MAX_RELATIVE_ERROR = 1e-7
+
+
+def _check_spread(values, what):
+    """Refuse weights whose spread leaves the hitting times too few correct digits.
+
+    A hitting time weighs the walk's strengths (or its stationary law) against
+    each other, so a rounding error of 2⁻⁵³ relative to the largest weight is
+    ``max/min · 2⁻⁵³`` relative to the smallest.  Above ``MAX_RELATIVE_ERROR``,
+    or with a weight that is not positive, ``IllConditionedError`` is raised.
+    """
+    lo, hi = float(values.min()), float(values.max())
+    spread = hi / lo * 2.0**-53 if lo > 0.0 else np.inf
+    if not spread <= MAX_RELATIVE_ERROR:
+        raise IllConditionedError(
+            f"{what}: the weights span {lo:.3e} to {hi:.3e}, so the hitting times may be off "
+            f"by max/min * 2^-53 = {spread:.3e} of themselves, above {MAX_RELATIVE_ERROR:g}")
+
+
 def hitting_linear(p):
     """Oracle: every T_ij from one solve of the fundamental matrix G = (I - P + 1uᵀ)⁻¹, u = 1/n.
 
@@ -45,6 +65,7 @@ def hitting_linear(p):
     n = p.p.shape[0]
     t = _fundamental_solve(p, np.eye(n))  # G, turned into T in place below
     pi = t.mean(axis=0)
+    _check_spread(pi, f"{p.kind.value} chain")
     t -= np.diag(t).copy()
     t /= -pi
     np.fill_diagonal(t, 0.0)
@@ -90,6 +111,7 @@ def walk_hitting(walk):
     is trace(gram)/(N-1); the means cost O(N²) once R⁻¹ is known, and the
     pairwise matrix is formed only when ``t`` is read.
     """
+    _check_spread(walk.s, f"{walk.kind.value} walk")
     n = walk.s.shape[0]
     total = float(walk.s.sum())
     lap = walk.laplacian()

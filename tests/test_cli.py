@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nbwalk import InvalidParamsError
-from nbwalk.cli import COMMANDS, EXIT_STDOUT_CLOSED, _iterjson, build_parser, main
+from nbwalk.cli import COMMANDS, EXIT_STDOUT_CLOSED, WRITE_BLOCK, _iterjson, build_parser, main
 
 
 def run_json(capsys, argv):
@@ -121,12 +122,16 @@ def triangle_with_path_file(tmp_path, length):
     (80, ["compare"]),
     (80, ["hitting", "--walk", "merw"]),
     (40, ["hitting", "--walk", "merw", "--method", "both"]),
-], ids=["compare", "hitting-merw", "hitting-merw-both"])
+    (40, ["compare"]),
+    (40, ["hitting", "--walk", "merw"]),
+    (40, ["hitting", "--walk", "merw", "--method", "linear"]),
+], ids=["compare", "hitting-merw", "hitting-merw-both", "compare-40", "hitting-merw-40",
+        "hitting-merw-linear-40"])
 def test_numerically_singular_laplacian_is_ill_conditioned(tmp_path, capsys, length, argv):
-    # MERW's psi_1 underflows along the 80-node path, so the weighted
-    # Laplacian is singular in floating point.  Along 40 nodes the Cholesky
-    # factor still exists, but the spectral and linear hitting times disagree
-    # by far more than the cross-check allows.
+    # MERW's psi_1 decays geometrically along the pendant path: its strengths
+    # span 1.4e17 at 40 nodes, so a rounding error of the largest swamps the
+    # smallest, and each route refuses the walk before it reports a time.
+    # Along 80 nodes the weighted Laplacian is singular in floating point.
     path = triangle_with_path_file(tmp_path, length)
     code = main([argv[0], path, *argv[1:]])
     captured = capsys.readouterr()
@@ -142,6 +147,32 @@ def test_numerically_singular_laplacian_is_ill_conditioned(tmp_path, capsys, len
 def test_other_walks_on_the_long_path_succeed(tmp_path, capsys, walk):
     out = run_json(capsys, ["hitting", triangle_with_path_file(tmp_path, 80), "--walk", walk])
     assert len(out["reports"][0]["t_partial"]) == 83
+
+
+GRAPH_COMMANDS = {
+    "centrality": [],
+    "stationary": [],
+    "hitting": [],
+    "compare": [],
+    "simulate": ["--walk", "turw", "--mode", "stationary", "--trials", "4", "--max-steps", "40"],
+}
+
+
+@pytest.mark.parametrize("command", GRAPH_COMMANDS)
+def test_manifest_counts_duplicate_edges(tmp_path, capsys, command):
+    for text, count in (("0 1\n1 2\n2 0\n", 0), ("0 1\n1 2\n2 0\n1 0\n0 1\n", 2)):
+        path = write_graph(tmp_path, "k3.txt", text)
+        out = run_json(capsys, [command, path, *GRAPH_COMMANDS[command]])
+        assert out["manifest"]["duplicate_edges"] == count
+
+
+def test_duplicate_edges_leave_stderr_empty(tmp_path):
+    # In a child process, where no logging is configured: a library warning
+    # would otherwise reach stderr through logging's last-resort handler.
+    proc = run_limited(["centrality", write_graph(tmp_path, "k3.txt", "0 1\n1 2\n2 0\n1 0\n")])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["manifest"]["duplicate_edges"] == 1
 
 
 HUGE_NODE_IDS = {
@@ -620,12 +651,21 @@ SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-2**100, 2**100), FLOATS, st.text(),
     st.booleans().map(np.bool_), st.integers(-2**62, 2**62).map(np.int64), FLOATS.map(np.float64),
 )
+# Matrices over one writer block, drawn from a few values: several blocks, each formatted
+# from its table of distinct values.
+BLOCK_MATRICES = st.builds(
+    lambda values, cols, extra, seed: np.random.default_rng(seed).choice(
+        np.array(values, dtype=float), size=(WRITE_BLOCK // cols + extra, cols)),
+    st.lists(FLOATS, min_size=1, max_size=5), st.integers(1, 300), st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+)
 ARRAYS = st.one_of(
     st.lists(FLOATS, max_size=6).map(lambda v: np.array(v, dtype=float)),
     st.lists(st.integers(-2**62, 2**62), max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
     st.integers(0, 3).flatmap(lambda cols: st.lists(
         st.lists(FLOATS, min_size=cols, max_size=cols), max_size=4,
     ).map(lambda rows: np.array(rows, dtype=float).reshape(len(rows), cols))),
+    BLOCK_MATRICES,
 )
 JSON_TREES = st.recursive(
     SCALARS | ARRAYS,
@@ -657,6 +697,56 @@ def test_writer_emits_null_for_non_finite():
     assert "".join(_iterjson(values)) == expected
     assert "".join(_iterjson(np.array(values))) == expected
     assert "".join(_iterjson(np.float64(math.nan))) == "null"
+
+
+# Both sides of repr's switches to exponent notation, at 1e16 and at 1e-4.
+REPR_EDGES = [1e16, np.nextafter(1e16, 0.0), 1e-4, np.nextafter(1e-4, 0.0)]
+REPEATED = np.random.default_rng(5).choice([0.5, 1.0 / 3.0, -2.0, 7e22], size=(90, 400))
+WRITER_CASES = {
+    "signed-zeros": np.tile([0.0, -0.0, 0.0, -0.0], (3, 2)),
+    "subnormals": np.tile([5e-324, 1e-310, -2.2250738585072e-308, 0.0], (4, 1)),
+    "repr-switches": np.tile(REPR_EDGES + [-v for v in REPR_EDGES], (2, 1)),
+    "transposed": REPEATED.T,
+    "strided": REPEATED[::3, 1::7],
+    "int64": np.arange(-40, 40, dtype=np.int64).reshape(8, 10),
+    "all-distinct": np.random.default_rng(6).random((30, 700)),
+}
+
+
+@pytest.mark.parametrize("matrix", WRITER_CASES.values(), ids=WRITER_CASES.keys())
+def test_writer_matrix_cases(matrix):
+    assert "".join(_iterjson(matrix)) == json.dumps(matrix.tolist(), indent=2)
+    assert "".join(_iterjson({"m": [matrix]})) == json.dumps({"m": [matrix.tolist()]}, indent=2)
+
+
+def test_writer_matrix_with_one_nan():
+    matrix = REPEATED.copy()
+    matrix[50, 3] = math.nan
+    expected = matrix.astype(object)
+    expected[50, 3] = None
+    assert "".join(_iterjson(matrix)) == json.dumps(expected.tolist(), indent=2)
+
+
+def test_writer_scratch_memory_is_below_one_matrix():
+    matrix = np.random.default_rng(7).random((1000, 1000))  # every entry distinct
+    tracemalloc.start()
+    try:
+        size = sum(map(len, _iterjson(matrix)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 18 * matrix.size
+    assert peak < matrix.nbytes
+
+
+def test_rose_hitting_matrices_are_stdlib_encoding(tmp_path, capsys):
+    graph = str(tmp_path / "rose80.txt")
+    assert main(["-o", graph, "generate", "--model", "rose", "--m", "80"]) == 0
+    assert main(["hitting", graph, "--walk", "all"]) == 0
+    text = capsys.readouterr().out
+    payload = json.loads(text)
+    assert [len(report["t_matrix"]) for report in payload["reports"]] == [241] * 3
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_hitting_output_equals_stdlib_encoding(tmp_path):

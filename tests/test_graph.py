@@ -47,6 +47,15 @@ def test_parse_one_based_duplicate_collapses():
     assert g.labels == range(1, 3)
 
 
+def test_parse_returns_the_duplicate_count_it_warns_of(caplog):
+    text = "0 1\n1 0\n1 2\n2 0\n0 2\n0 1\n"
+    with caplog.at_level(logging.WARNING, logger="nbwalk.graph"):
+        g, duplicates = parse_edge_list(text, return_duplicates=True)
+    assert (g.num_edges, duplicates) == (3, 3)
+    assert [r.getMessage() for r in caplog.records] == ["3 duplicate edges collapsed"]
+    assert parse_edge_list("0 1\n1 2\n2 0\n", return_duplicates=True)[1] == 0
+
+
 def test_parse_rejects_self_loop():
     with pytest.raises(ParseError, match="self-loop"):
         parse_edge_list("0 0")

@@ -159,6 +159,19 @@ def test_linear_singular_solve_is_ill_conditioned(oracle, monkeypatch):
         oracle(p)
 
 
+@pytest.mark.parametrize("eps, refused", [(1e-9, False), (1e-10, True)])
+def test_strength_spread_past_the_error_bound_is_ill_conditioned(eps, refused):
+    # Strengths 1 + eps, 1 + eps and 2 eps: max/min * 2^-53 is 5.6e-8 at
+    # eps = 1e-9, under the 1e-7 bound, and 5.6e-7 at eps = 1e-10, over it.
+    walk = ReversibleWalk(WalkKind.MERW, complete_graph(3), [1.0, 1.0, eps])
+    for route in (lambda: walk_hitting(walk), lambda: hitting_linear(walk.transition())):
+        if refused:
+            with pytest.raises(IllConditionedError, match=r"merw (walk|chain): .* 2\^-53"):
+                route()
+        else:
+            assert np.all(np.isfinite(route().t))
+
+
 def test_walk_hitting_refuses_disconnected_support():
     two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     with pytest.raises(NotConnectedError):
