@@ -24,7 +24,9 @@ from .errors import (
     IllConditionedError, InvalidParamsError, NbwalkError, NotConnectedError, ParseError,
 )
 from .graph import MAX_EXACT_INT, check_entries, parse_edge_list
-from .hitting import eq26_audit, hitting_linear, hitting_spectral, hub_node, walk_hitting
+from .hitting import (
+    MAX_RELATIVE_ERROR, eq26_audit, hitting_linear, hitting_spectral, hub_node, walk_hitting,
+)
 from .models import (
     RoseSpec, corrected_exponent, gen_ba, gen_er, gen_ws, loglog_slope, make_rose, rose4_oracle,
     scaling_table,
@@ -45,34 +47,41 @@ def _table(entries):
     return [list(entries[0])] + [list(entry.values()) for entry in entries]
 
 
+def _node_rows(reports, key, labels):
+    """CSV rows ``[kind, node, value]`` of the per-node array ``key`` of each report."""
+    return [["kind", "node", key]] + [[entry["kind"], node, value] for entry in reports
+                                      for node, value in zip(labels, entry[key])]
+
+
 # Matrix entries formatted at a time: bounds the writer's scratch arrays, whatever the matrix size.
 WRITE_BLOCK = 1 << 14
 
 
 def _matrix_rows(obj, level):
-    """The rows of a 2-D float64 array as ``_iterjson`` writes them at ``level``, one string each.
+    """The rows of a 2-D int64 or float64 array as ``_iterjson`` writes them at ``level``.
 
-    The rows go in blocks of about ``WRITE_BLOCK`` entries.  Where at most
-    half a finite block's entries are distinct, as in the hitting times of a
-    symmetric graph, each distinct value is formatted once: the values are
-    keyed on their bit patterns, so -0.0 and 0.0 stay apart.  A block with a
-    NaN or an infinity is written row by row through ``_iterjson``.
+    One string per row; the rows go in blocks of about ``WRITE_BLOCK``
+    entries.  The values of a block are keyed on their bit patterns, so -0.0
+    and 0.0 stay apart.  Where at most half a block's entries are distinct,
+    as in the hitting times of a symmetric graph, or where it holds a NaN or
+    an infinity, each distinct value is formatted once (NaN and ±inf as
+    ``null``) and the block is written from that table; otherwise entry by entry.
     """
+    fmt = float.__repr__ if obj.dtype.kind == "f" else int.__repr__
     inner = "\n" + "  " * (level + 1)
     sep, close = "," + inner, "\n" + "  " * level + "]"
     step = max(1, WRITE_BLOCK // obj.shape[1])
     for start in range(0, obj.shape[0], step):
         block = obj[start:start + step]
-        if not np.isfinite(block).all():
-            yield from ("".join(_iterjson(row, level)) for row in block)
-            continue
         keys, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-        if 2 * keys.size <= block.size:
-            table = np.array(list(map(float.__repr__, keys.view(np.float64).tolist())),
-                             dtype=object)
+        values = keys.view(obj.dtype)
+        finite = np.isfinite(values)
+        if 2 * keys.size <= block.size or not finite.all():
+            table = np.array(list(map(fmt, values.tolist())), dtype=object)
+            table[~finite] = "null"
             rows = table[inverse.reshape(block.shape)].tolist()  # numpy < 2 returns it flat
         else:
-            rows = (map(float.__repr__, row) for row in block.tolist())
+            rows = (map(fmt, row) for row in block.tolist())
         for row in rows:
             yield "[" + inner + sep.join(row) + close
 
@@ -94,13 +103,11 @@ def _iterjson(obj, level=0):
         yield int.__repr__(obj)
     elif isinstance(obj, float):
         yield float.__repr__(obj) if math.isfinite(obj) else "null"
-    elif (isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.size
-          and obj.dtype.kind in "iuf" and np.isfinite(obj).all()):
-        # One piece per row: the repr of every entry, joined once.
-        inner = "\n" + "  " * (level + 1)
-        text = map(float.__repr__ if obj.dtype.kind == "f" else int.__repr__, obj.tolist())
-        yield "[" + inner + ("," + inner).join(text) + "\n" + "  " * level + "]"
-    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size and obj.dtype == np.float64:
+    elif (isinstance(obj, np.ndarray) and obj.ndim in (1, 2) and obj.size
+          and obj.dtype in (np.int64, np.float64)):
+        if obj.ndim == 1:  # a vector is a one-row matrix
+            yield from _matrix_rows(obj[None], level)
+            return
         inner = "\n" + "  " * (level + 1)
         for i, row in enumerate(_matrix_rows(obj, level + 1)):
             yield ("," if i else "[") + inner + row
@@ -282,9 +289,7 @@ def _stationary_entry(kind, g, args):
 def cmd_stationary(args):
     g, inputs = _load_graph(args)
     reports = [_stationary_entry(kind, g, args) for kind in _walk_kinds(args.walk)]
-    rows = [["kind", "node", "pi"]] + [[entry["kind"], node, value] for entry in reports
-                                       for node, value in zip(g.labels, entry["pi"])]
-    return {"reports": reports}, inputs, rows
+    return {"reports": reports}, inputs, _node_rows(reports, "pi", g.labels)
 
 
 def cmd_hitting(args):
@@ -309,7 +314,7 @@ def cmd_hitting(args):
             entry["t_matrix"] = main.t
         if args.method == "both":
             gap = float(np.max(np.abs(spectral.t - linear.t)))
-            bound = 1e-7 * (1.0 + float(spectral.t.max()))
+            bound = MAX_RELATIVE_ERROR * (1.0 + float(spectral.t.max()))
             if not gap <= bound:
                 raise IllConditionedError(
                     f"{kind.value} walk: spectral and linear hitting times differ by "
@@ -326,9 +331,7 @@ def cmd_hitting(args):
                 "t_verbatim", "t_consistent", "max_gap_consistent_vs_linear",
                 "max_gap_verbatim_vs_linear", "note")}
         reports.append(entry)
-    rows = [["kind", "node", "t_partial"]] + [[entry["kind"], node, value] for entry in reports
-                                              for node, value in zip(g.labels, entry["t_partial"])]
-    return {"reports": reports}, inputs, rows
+    return {"reports": reports}, inputs, _node_rows(reports, "t_partial", g.labels)
 
 
 # Per model: the parameters it reads (also its header fields) and its generator.

@@ -22,17 +22,23 @@ MAX_DENSE_NODES = 20000
 MAX_EXACT_INT = 2**53
 
 
-def check_dense(n, what):
-    """Refuse a dense n×n array above ``MAX_DENSE_NODES`` before it is allocated.
+def dense_on_arcs(n, src, dst, values, what):
+    """The n×n float array with ``values`` on the arcs src[k] -> dst[k] and zeros elsewhere.
 
-    A failed allocation is not caught: with memory overcommit a large array
-    can be granted and the process killed later, so the size is checked first.
+    Every dense array that the library forms from a graph's arcs is made
+    here, and one above ``MAX_DENSE_NODES`` is refused before it is
+    allocated.  A failed allocation is not caught: with memory overcommit a
+    large array can be granted and the process killed later, so the size is
+    checked first.
     """
     if n > MAX_DENSE_NODES:
         raise InvalidParamsError(
             f"{what}: a dense {n}x{n} array is above the cap of {MAX_DENSE_NODES}; the O(E) "
             "routes are centrality, and stationary (without --check) or simulate with "
             "--walk turw|nbcrw")
+    m = np.zeros((n, n))
+    m[src, dst] = values
+    return m
 
 
 def check_entries(count, what):
@@ -132,10 +138,7 @@ class Graph:
 
     @property
     def adjacency(self):
-        check_dense(self.n, "the adjacency matrix")
-        a = np.zeros((self.n, self.n))
-        a[self.arcs] = 1.0
-        return a
+        return dense_on_arcs(self.n, *self.arcs, 1.0, "the adjacency matrix")
 
     @cached_property
     def degrees(self):

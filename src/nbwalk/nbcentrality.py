@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailureError, InvalidParamsError, NotConnectedError, TreeGraphError
-from .graph import check_dense, validate
+from .graph import dense_on_arcs, validate
 from .spectral import TOL, lanczos_leading, leading_eig
 
 # The explicit B takes (2E)^2 doubles, so verify_b_vs_m refuses larger graphs.
@@ -47,14 +47,17 @@ def build_nb_matrix(g):
 
 
 def build_m_matrix(g):
-    """2Nx2N block matrix [[A, I-D], [I, 0]] sharing B's real spectrum."""
-    check_dense(2 * g.n, "the reduced non-backtracking matrix M")
-    a = g.adjacency
+    """2Nx2N block matrix [[A, I-D], [I, 0]] sharing B's real spectrum.
+
+    A is scattered from the arcs into the top-left block, then the diagonals
+    of I - D and I are set by index, so M is the only 2N×2N array made.
+    """
     n = g.n
-    eye = np.eye(n)
-    top = np.hstack([a, eye - np.diag(g.degrees.astype(float))])
-    bottom = np.hstack([eye, np.zeros((n, n))])
-    return np.vstack([top, bottom])
+    m = dense_on_arcs(2 * n, *g.arcs, 1.0, "the reduced non-backtracking matrix M")
+    i = np.arange(n)
+    m[i, n + i] = 1.0 - g.degrees
+    m[n + i, i] = 1.0
+    return m
 
 
 def _adj_matvec(g, v):

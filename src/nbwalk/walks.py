@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (
     IllConditionedError, InvalidParamsError, NotConnectedError, ZeroDenominatorError,
 )
-from .graph import check_dense, reaches_all
+from .graph import dense_on_arcs, reaches_all
 from .nbcentrality import nb_centrality
 from .spectral import _sign_fix, sym_eig
 
@@ -44,8 +44,8 @@ class ReversibleWalk:
 
     ``w[k] = x[src[k]] x[dst[k]]`` over the 2E arcs (src, dst) = ``g.arcs``,
     and the strengths are s = W 1.  No N×N array is kept: ``transition`` and
-    ``laplacian`` each scatter ``w`` onto a fresh dense matrix, refused above
-    ``graph.MAX_DENSE_NODES`` nodes.  A disconnected
+    ``laplacian`` each scatter ``w`` onto a fresh dense matrix through
+    ``graph.dense_on_arcs``, refused above ``MAX_DENSE_NODES`` nodes.  A disconnected
     graph is refused first, then a zero strength; every s_i > 0 needs every
     x_i > 0, so the support of W is then the connected graph itself.
     """
@@ -64,25 +64,20 @@ class ReversibleWalk:
         if bad.size:
             raise ZeroDenominatorError(int(bad[0]))
 
-    def _dense(self, values):
-        """The N×N matrix with ``values`` on the arcs and zeros elsewhere."""
-        n = self.s.shape[0]
-        check_dense(n, f"the {self.kind.value} walk")
-        m = np.zeros((n, n))
-        m[self.src, self.dst] = values
-        return m
-
     def stationary(self):
         """pi = s / sum(s); pi_i p_ij = w_ij / sum(s) is symmetric, so detailed balance holds."""
         return StationaryDistribution(kind=self.kind, pi=self.s / self.s.sum())
 
     def transition(self):
         """p_ij = w_ij / s_i."""
-        return TransitionMatrix(kind=self.kind, p=self._dense(self.w / self.s[self.src]))
+        p = dense_on_arcs(self.s.shape[0], self.src, self.dst, self.w / self.s[self.src],
+                          f"the {self.kind.value} walk")
+        return TransitionMatrix(kind=self.kind, p=p)
 
     def laplacian(self):
         """diag(s) - W."""
-        lap = self._dense(-self.w)
+        lap = dense_on_arcs(self.s.shape[0], self.src, self.dst, -self.w,
+                            f"the {self.kind.value} walk")
         lap[np.diag_indices_from(lap)] = self.s
         return lap
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -696,6 +697,8 @@ def test_writer_emits_null_for_non_finite():
     expected = json.dumps([None, None, None, 1.5], indent=2)
     assert "".join(_iterjson(values)) == expected
     assert "".join(_iterjson(np.array(values))) == expected
+    assert "".join(_iterjson({"v": np.array(values)})) == json.dumps(
+        {"v": [None, None, None, 1.5]}, indent=2)
     assert "".join(_iterjson(np.float64(math.nan))) == "null"
 
 
@@ -710,6 +713,12 @@ WRITER_CASES = {
     "strided": REPEATED[::3, 1::7],
     "int64": np.arange(-40, 40, dtype=np.int64).reshape(8, 10),
     "all-distinct": np.random.default_rng(6).random((30, 700)),
+    # Vectors and int64 matrices go through the block table too.
+    "vector-signed-zeros": np.array([0.0, -0.0, 1.5, 0.0, -0.0, -0.0]),
+    "vector-over-a-block": np.random.default_rng(8).choice(
+        [0.5, 1.0 / 3.0, -0.0, 7e22], size=WRITE_BLOCK + 9),
+    "int64-over-a-block": np.random.default_rng(9).choice(
+        np.array([-3, 0, 7, 2**62], dtype=np.int64), size=(WRITE_BLOCK // 50 + 3, 50)),
 }
 
 
@@ -787,3 +796,131 @@ def test_closed_stdout_exits_quietly(tmp_path, capsys, monkeypatch):
     code = main(["hitting", rose2_file(tmp_path)])
     assert code == EXIT_STDOUT_CLOSED == 141
     assert capsys.readouterr().err == ""
+
+
+# The exit codes of the README's error table.
+EXIT_CODES = {1: "parse_error", 2: "tree_graph", 3: "not_connected", 4: "zero_denominator",
+              5: "convergence_failure", 6: "invalid_params", 7: "ill_conditioned"}
+INT64_PAST = str(2**63 + 5)  # an id that no int64 holds
+
+
+@st.composite
+def edge_list_files(draw):
+    """``(data, base, comma)``: an edge-list file of at most 12 nodes in one of the accepted layouts.
+
+    The shape is a tree, a unicyclic graph, a denser random graph or two
+    components; the lines may repeat an edge, hold a self-loop, a negative
+    id, an id past int64, a stray token or a byte that is not UTF-8, and a
+    ``%N`` header may widen or contradict the ids.
+    """
+    n = draw(st.sampled_from(range(1, 13)))
+    shape = draw(st.sampled_from(["tree", "unicyclic", "random", "random", "random",
+                                  "disconnected"]))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    edges = list(enumerate(parents, start=1))
+    if shape == "unicyclic" and n >= 3:
+        edges.append((n - 1, draw(st.integers(0, n - 3))))
+    elif shape == "random":
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges += [(u, v) for u, v in draw(st.lists(pairs, max_size=2 * n)) if u != v]
+    elif shape == "disconnected" and n >= 2:
+        edges = [(u, v) for u, v in edges if (u < n // 2) == (v < n // 2)]
+    base = draw(st.sampled_from([0, 1]))
+    comma = draw(st.booleans())
+    lines = [[str(u + base), str(v + base)] for u, v in edges]
+    junk = draw(st.sampled_from([None] * 15 + [["0", "0"], [INT64_PAST, "1"], ["1", "-1"],
+                                               ["x", "1"], ["2", "3", "4"], ["\udcff", "1"]]))
+    lines += [junk] if junk else []
+    if lines and draw(st.booleans()):
+        lines.append(draw(st.sampled_from(lines))[::-1])  # a duplicate edge
+    lines = draw(st.permutations(lines))
+    text = [(", " if comma else draw(st.sampled_from([" ", "\t", "  "]))).join(line)
+            for line in lines]
+    header = draw(st.sampled_from([None] * 5 + [n, n, n + 1, n - 1, INT64_PAST]))
+    if header is not None:
+        text.insert(draw(st.integers(0, len(text))), f"%N {header}")
+    if draw(st.booleans()):
+        text.insert(0, "# a comment")
+    return ("\n".join(text) + "\n").encode("utf-8", "surrogateescape"), base, comma
+
+
+WALKS = st.sampled_from(["turw", "merw", "nbcrw"])
+NODE_IDS = st.sampled_from(["0", "1", "2", "3", "5", "11", "12", INT64_PAST, "x"])
+
+
+def _graph_argv(command, draw):
+    """The subcommand arguments after the graph file, for a graph command."""
+    if command == "stationary":
+        return ["--walk", draw(WALKS | st.just("all"))] + draw(st.sampled_from([[], ["--check"]]))
+    if command == "hitting":
+        return (["--walk", draw(WALKS | st.just("all")),
+                 "--method", draw(st.sampled_from(["spectral", "linear", "both"])),
+                 "--target", draw(st.sampled_from(["global", "hub", "hub,global", "0,hub", "3",
+                                                   "12", ""]))]
+                + draw(st.sampled_from([[], ["--full-matrix"], ["--verbatim-eq26"]])))
+    if command == "simulate":
+        mode = draw(st.sampled_from(["hitting", "stationary"]))
+        argv = ["--walk", draw(WALKS), "--mode", mode,
+                "--trials", draw(st.sampled_from(["1", "4", "9", "30", "0"])),
+                "--max-steps", draw(st.sampled_from(["1", "20", "80", "300", "0"])),
+                "--burn-in", draw(st.sampled_from(["0", "5", "10", "20", "-1"]))]
+        if mode == "hitting" and draw(st.sampled_from([True, True, True, False])):
+            argv += ["--source", draw(NODE_IDS), "--target", draw(NODE_IDS)]
+        return argv
+    return []
+
+
+@st.composite
+def invocations(draw):
+    """``(argv, data)``: argv of any subcommand, with ``{graph}`` for the graph file, and its bytes."""
+    flags = ["--seed", draw(st.sampled_from(["0", "1", "3", "7"] * 2 + ["-1"])),
+             "--format", draw(st.sampled_from(["json"] * 7 + ["csv"]))]
+    command = draw(st.sampled_from(["centrality", "stationary", "hitting", "compare", "simulate",
+                                    "generate", "rose-oracle", "scaling"]))
+    data = None
+    if command == "generate":
+        model = draw(st.sampled_from(["rose", "er", "ba", "ws"]))
+        n = str(draw(st.sampled_from(range(-1, 201))))
+        argv = ["generate", "--model", model] + {
+            "rose": ["--m", str(draw(st.integers(-1, 6))), "--l", str(draw(st.integers(-1, 6)))],
+            "er": ["--n", n, "--p", str(draw(st.sampled_from([-0.5, 0.0, 0.05, 0.5, 1.0, 2.0])))],
+            "ba": ["--n", n, "--m-attach", str(draw(st.integers(-1, 5)))],
+            "ws": ["--n", n, "--k", str(draw(st.integers(-1, 7))),
+                   "--beta", str(draw(st.sampled_from([-1.0, 0.0, 0.2, 1.0, 1.5])))],
+        }[model]
+        argv = draw(st.sampled_from([argv] * 3 + [argv[:-2]]))  # the last parameter may be missing
+    elif command == "rose-oracle":
+        argv = ["rose-oracle", str(draw(st.sampled_from(range(-1, 41)))), "--walk",
+                draw(WALKS | st.just("all"))]
+    elif command == "scaling":
+        argv = ["scaling", "--kind", draw(WALKS),
+                "--m-range", draw(st.sampled_from(["2:30", "10:60", "5:5", "1:9", "30:2", "a:b"])),
+                "--points", str(draw(st.integers(-1, 8)))]
+    else:
+        data, base, comma = draw(edge_list_files())
+        argv = [command, "{graph}", "--index-base", str(base),
+                "--delimiter", "comma" if comma else "whitespace"] + _graph_argv(command, draw)
+    return flags + argv, data
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(invocations())
+def test_no_input_gives_a_traceback(tmp_path_factory, invocation):
+    # Every run either succeeds with an empty stderr or fails with one JSON
+    # line whose error matches its documented exit code.
+    argv, data = invocation
+    if data is not None:
+        path = tmp_path_factory.getbasetemp() / "fuzzed-graph.txt"
+        path.write_bytes(data)
+        argv = [str(path) if arg == "{graph}" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        if "json" in argv and "generate" not in argv:
+            json.loads(out.getvalue(), parse_constant=lambda c: pytest.fail(f"{c} in the output"))
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, err.getvalue()
+        assert json.loads(lines[0])["error"] == EXIT_CODES[code]

@@ -8,13 +8,13 @@ import pytest
 from nbwalk import (
     Graph, IllConditionedError, InvalidParamsError, NotConnectedError, ReversibleWalk, RoseSpec,
     TransitionMatrix, WalkKind, eq26_audit, hitting_linear, hitting_spectral, hub_node, gen_ba,
-    make_rose, potential, reversible_walk, stationary_closed, stationary_generic, transition,
-    walk_hitting,
+    gen_ws, make_rose, potential, reversible_walk, stationary_closed, stationary_generic,
+    transition, walk_hitting,
 )
 from nbwalk.hitting import _invert_lower
 
 from conftest import complete_graph, cycle_graph
-from oracles import absorbing_hitting, eigen_hitting, hitting_merw_adjacency
+from oracles import absorbing_hitting, eigen_hitting, gth_hitting, hitting_merw_adjacency
 
 
 def test_linear_complete_graph():
@@ -178,6 +178,58 @@ def test_walk_hitting_refuses_disconnected_support():
         ReversibleWalk(WalkKind.TURW, two_triangles, np.ones(6))
     with pytest.raises(NotConnectedError):
         walk_hitting(ReversibleWalk(WalkKind.TURW, two_triangles, np.ones(6)))
+
+
+def triangle_with_path(length):
+    """A triangle 0-1-2 with the pendant path 2-3-...-(length + 2)."""
+    edges = [(0, 1), (1, 2), (0, 2)] + [(i, i + 1) for i in range(2, length + 2)]
+    return Graph.from_edges(length + 3, edges)
+
+
+def _max_relative_gap(walk, t, targets):
+    """Largest |T_ij - GTH_ij| / GTH_ij over i != j, for each target j of ``targets``."""
+    gaps = []
+    for j in targets:
+        ref = gth_hitting(walk, j)
+        off = np.arange(walk.s.size) != j
+        gaps.append(np.max(np.abs(t[off, j] - ref[off]) / ref[off]))
+    return max(gaps)
+
+
+@pytest.mark.parametrize("kind", list(WalkKind))
+def test_gth_oracle_matches_the_absorbing_solves(kind):
+    g = make_rose(RoseSpec(m=3))
+    walk = reversible_walk(kind, g)
+    assert _max_relative_gap(walk, absorbing_hitting(transition(kind, g)), range(g.n)) <= 1e-12
+
+
+@pytest.mark.parametrize("length", [5, 10, 15, 20])
+def test_merw_hitting_on_a_pendant_path_is_within_the_spread_bound_of_gth(length):
+    # MERW's strengths decay geometrically along the path; the entrywise
+    # error of walk_hitting stays below (s_max / s_min) 2^-53, the bound the
+    # ill-conditioned refusal reads, from 3.5e-14 at 5 nodes to 6.7e-8 at 20.
+    walk = reversible_walk(WalkKind.MERW, triangle_with_path(length))
+    bound = walk.s.max() / walk.s.min() * 2.0**-53
+    assert _max_relative_gap(walk, walk_hitting(walk).t, (0, 2, length + 2)) <= bound
+
+
+@pytest.mark.parametrize("length", [25, 30])
+def test_merw_hitting_past_the_spread_bound_is_refused(length):
+    with pytest.raises(IllConditionedError) as exc:
+        walk_hitting(reversible_walk(WalkKind.MERW, triangle_with_path(length)))
+    assert exc.value.exit_code == 7
+
+
+GTH_GRAPHS = {"rose-m20": make_rose(RoseSpec(m=20)), "ba-120": gen_ba(120, 2, 1),
+              "ws-60": gen_ws(60, 4, 0.1, 1)}
+
+
+@pytest.mark.parametrize("kind", list(WalkKind))
+@pytest.mark.parametrize("g", GTH_GRAPHS.values(), ids=GTH_GRAPHS.keys())
+def test_walk_hitting_matches_gth_entrywise(g, kind):
+    walk = reversible_walk(kind, g)
+    targets = (0, int(np.argmax(walk.s)), int(np.argmin(walk.s)), g.n - 1)
+    assert _max_relative_gap(walk, walk_hitting(walk).t, targets) <= 1e-12
 
 
 def test_walk_hitting_matches_eigen_expansion(corpus):

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from nbwalk import (
-    Graph, InvalidParamsError, NotConnectedError, RoseSpec, TreeGraphError, WalkKind,
-    build_m_matrix, build_nb_matrix, eigenvector_centrality, gen_ba, gen_er, make_rose,
+    Graph, InvalidParamsError, NotConnectedError, ReversibleWalk, RoseSpec, TreeGraphError,
+    WalkKind, build_m_matrix, build_nb_matrix, eigenvector_centrality, gen_ba, gen_er, make_rose,
     nb_centrality, reversible_walk, rose4_oracle, verify_b_vs_m,
 )
-from nbwalk.graph import MAX_DENSE_NODES
+from nbwalk.graph import MAX_DENSE_NODES, dense_on_arcs
 from nbwalk.nbcentrality import _m_operator
 
 from conftest import complete_graph, cycle_graph, dense_pair, star_with_chord
@@ -161,12 +161,40 @@ def test_eigenvector_centrality_memory_is_linear_in_edges(ba20000, monkeypatch):
     assert peak < 32 * 2**20
 
 
+def test_m_matrix_is_the_only_large_array_it_makes():
+    # M of BA(2000, 2) takes 128 MB.  A scattered into M and the I - D and I
+    # diagonals set by index need no other N×N array; M put together from
+    # its blocks by hstack and vstack peaked at 2.5 times its size.
+    g = gen_ba(2000, 2, 1)
+    n = g.n
+    g.arcs, g.degrees  # computed once per graph, before the trace
+    m, peak = _traced_peak(lambda: build_m_matrix(g))
+    assert peak < 1.5 * m.nbytes
+    assert np.array_equal(m[:n, :n], g.adjacency)
+    assert np.array_equal(m[:n, n:], np.eye(n) - np.diag(g.degrees))
+    assert np.array_equal(m[n:, :n], np.eye(n))
+    assert not np.any(m[n:, n:])
+
+
 def test_dense_matrices_are_refused_above_the_cap():
-    # Both refusals come before any allocation, so nothing large is made here.
-    with pytest.raises(InvalidParamsError, match="adjacency"):
-        cycle_graph(MAX_DENSE_NODES + 1).adjacency
-    with pytest.raises(InvalidParamsError, match="reduced non-backtracking"):
-        build_m_matrix(cycle_graph(MAX_DENSE_NODES // 2 + 1))
+    # Every dense array is refused by its one builder, dense_on_arcs, before
+    # any allocation, so nothing large is made here.
+    big = cycle_graph(MAX_DENSE_NODES + 1)
+    refusals = [
+        (lambda: dense_on_arcs(20001, [], [], 1.0, "an array"), "an array", 20001),
+        (lambda: big.adjacency, "the adjacency matrix", 20001),
+        (lambda: reversible_walk(WalkKind.TURW, big).transition(), "the turw walk", 20001),
+        (lambda: ReversibleWalk(WalkKind.NBCRW, big, np.ones(big.n)).laplacian(),
+         "the nbcrw walk", 20001),
+        (lambda: build_m_matrix(cycle_graph(MAX_DENSE_NODES // 2 + 1)),
+         "the reduced non-backtracking matrix M", 20002),
+    ]
+    for build, what, n in refusals:
+        with pytest.raises(InvalidParamsError) as exc:
+            build()
+        assert str(exc.value) == (
+            f"{what}: a dense {n}x{n} array is above the cap of 20000; the O(E) routes are "
+            "centrality, and stationary (without --check) or simulate with --walk turw|nbcrw")
 
 
 @pytest.mark.parametrize("kind", [WalkKind.TURW, WalkKind.NBCRW])
