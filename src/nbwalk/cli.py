@@ -259,7 +259,7 @@ def cmd_centrality(args):
         "x": nc.x,
         "y": nc.y,
         "residual": nc.residual,
-        "solver": {"path": nc.path, "iterations": nc.iterations, "polished": nc.polished},
+        "solver": {"path": nc.path, "iterations": nc.iterations},
         "eigenvector_centrality": evc.vector,
         "eigenvector_solver": {
             "path": evc.path, "iterations": evc.iterations, "residual": evc.residual},

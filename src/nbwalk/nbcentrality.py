@@ -21,8 +21,8 @@ class NbCentrality:
     Normalization: the stacked vector (x | x/kappa) has unit 2-norm.  The
     solver diagnostics say how the pair was obtained: ``path`` is "power"
     (power iteration on M), "dense" (the dense eigensolve fallback) or
-    "unicyclic" (the closed form for E == N); ``iterations`` counts power
-    steps; ``polished`` is whether the quadratic-identity root replaced kappa.
+    "unicyclic" (the closed form x = 1 for E == N); ``iterations`` counts
+    power steps.  Kappa is always the quadratic-identity root of x.
     """
 
     kappa: float
@@ -31,7 +31,6 @@ class NbCentrality:
     residual: float = 0.0
     path: str = "power"
     iterations: int = 0
-    polished: bool = False
 
 
 def build_nb_matrix(g):
@@ -103,74 +102,54 @@ def _reduced_residual(g, kappa, x):
     return float(np.max(np.abs(r))) / nrm
 
 
-def _polish_kappa(g, x, kappa0):
-    """Refine kappa from an accurate vector via the exact quadratic identity.
+def _kappa_of(g, x):
+    """Kappa from a node vector x: the larger root of the quadratic identity.
 
-    The true pair satisfies kappa^2 (x.x) - kappa (x.Ax) + x.(D - I)x = 0, so
-    the larger root is second-order accurate in the vector error.  That matters
-    when the dominant eigenvalue is defective (cycles and other graphs whose
-    2-core is a single cycle), where eigensolvers lose half the available
-    digits on the eigenvalue itself.  Returns (kappa, whether the root was taken).
+    M's leading pair satisfies kappa^2 (x.x) - kappa (x.Ax) + x.(D - I)x = 0.
+    S M is symmetric for S = diag(I, I - D), so S v is M's left vector, and
+    the root is the fixed point of M's two-sided Rayleigh quotient: it is
+    second-order accurate in the error of x.  When E == N, kappa = 1 is a
+    double root (M is defective there, and eigensolvers lose half the digits
+    on the eigenvalue itself); the discriminant is then pure noise, so the
+    double root x.Ax / (2 x.x) is taken, which is exactly 1.0 at x = 1.
     """
     qa = float(x @ x)
-    if qa <= 0.0:
-        return kappa0, False
     qb = float(x @ _adj_matvec(g, x))
+    if g.num_edges == g.n:
+        return qb / (2.0 * qa)
     qc = float(((g.degrees - 1.0) * x) @ x)
-    disc = max(qb * qb - 4.0 * qa * qc, 0.0)
-    root = (qb + np.sqrt(disc)) / (2.0 * qa)
-    if root <= 0.0:
-        return kappa0, False
-    # Near a defective (double) root the residual is flat in kappa, so it
-    # cannot arbitrate; take the quadratic root unless it is clearly worse.
-    if _reduced_residual(g, root, x) > 2.0 * _reduced_residual(g, kappa0, x) + 1e-15:
-        return kappa0, False
-    return root, True
-
-
-def _leading_node_pair(g):
-    """Kappa and cleaned node vector from M, robust to defective spectra.
-
-    A connected non-tree graph has exactly one cycle iff E == N, and then the
-    dominant eigenvalue is kappa = 1 with a defective M -- the one regime
-    where iterative and dense eigensolvers alike lose half the available
-    digits, because the vector can absorb the eigenvalue error while keeping
-    the residual small.  In that case the eigen-equation at kappa = 1 reduces
-    to (A - D) x = 0, whose kernel on a connected graph is the constant
-    vector, so the exact pair is available in closed form.  Otherwise the
-    leading eigenpair of M comes from power iteration on the edge-list
-    operator, and x is the top block of its vector; ``nb_centrality`` gates
-    the pair on the reduced eigen-equation.
-
-    Returns (kappa, x, residual, solver diagnostics for :class:`NbCentrality`).
-    """
-    n = g.n
-    if g.num_edges == n:
-        x = np.full(n, 1.0 / np.sqrt(n))
-        solver = {"path": "unicyclic", "iterations": 0, "polished": False}
-        return 1.0, x, _reduced_residual(g, 1.0, x), solver
-    pair = leading_eig(_m_operator(g), size=2 * n, dense=lambda: build_m_matrix(g))
-    # leading_eig makes the largest entry positive, and for kappa > 1 it is
-    # in the top block; wipe sign noise and clamp what is left below zero.
-    x = pair.vector[:n]
-    x = np.where(x < 1e-14 * x.max(), 0.0, x)
-    kappa, polished = _polish_kappa(g, x, pair.value)
-    solver = {"path": pair.path, "iterations": pair.iterations, "polished": polished}
-    return kappa, x, _reduced_residual(g, kappa, x), solver
+    return (qb + np.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0))) / (2.0 * qa)
 
 
 def nb_centrality(g):
     """Kappa and centralities via the leading eigenpair of the M matrix.
 
     Requires a connected non-tree graph; otherwise kappa would be zero and
-    the transition construction downstream is undefined.
+    the transition construction downstream is undefined.  A connected
+    non-tree graph has exactly one cycle iff E == N; then the eigen-equation
+    at kappa = 1 reduces to (A - D) x = 0, whose kernel on a connected graph
+    is the constant vector, so x = 1.  Otherwise x is the top block of the
+    leading eigenpair of M from power iteration on the edge-list operator.
+    Either way kappa is :func:`_kappa_of` x, and the pair is gated on the
+    reduced eigen-equation.
     """
     flags = validate(g)
     if not flags.connected:
         raise NotConnectedError("graph is not connected")
     if flags.is_tree:
         raise TreeGraphError("graph is a tree; non-backtracking eigenvalue is zero")
-    kappa, x, residual, solver = _leading_node_pair(g)
+    n = g.n
+    if g.num_edges == n:
+        x, path, iterations = np.ones(n), "unicyclic", 0
+    else:
+        pair = leading_eig(_m_operator(g), size=2 * n, dense=lambda: build_m_matrix(g))
+        # leading_eig makes the largest entry positive, and for kappa > 1 it is
+        # in the top block; wipe sign noise and clamp what is left below zero.
+        x = pair.vector[:n]
+        x = np.where(x < 1e-14 * x.max(), 0.0, x)
+        path, iterations = pair.path, pair.iterations
+    kappa = _kappa_of(g, x)
+    residual = _reduced_residual(g, kappa, x)
     gate = 1e3 * TOL * max(1.0, kappa)
     if residual > gate:
         raise ConvergenceFailureError(
@@ -180,7 +159,7 @@ def nb_centrality(g):
     scale = np.sqrt(np.sum(x * x) * (1.0 + 1.0 / kappa**2))
     x = x / scale
     y = (g.degrees - 1.0) * x / kappa
-    return NbCentrality(kappa=kappa, x=x, y=y, residual=residual, **solver)
+    return NbCentrality(kappa=kappa, x=x, y=y, residual=residual, path=path, iterations=iterations)
 
 
 def verify_b_vs_m(g):
@@ -198,15 +177,9 @@ def verify_b_vs_m(g):
     b = build_nb_matrix(g)
     pair_b = leading_eig(b.__matmul__, size=b.shape[0], dense=lambda: b)
     # Summing the edge-vector over outgoing edges gives the node vector, so
-    # both sides can be polished through the same quadratic identity.
+    # both sides take kappa from the same quadratic identity.
     x_b = np.bincount(g.arcs[0], weights=pair_b.vector, minlength=g.n)
-    if g.num_edges == g.n:
-        # Unicyclic graphs make the eigenvalue a double root of the quadratic
-        # identity; the discriminant is then pure noise and the sqrt term in
-        # the generic polish amplifies it, so use the noise-free double root.
-        kappa_b = float(x_b @ _adj_matvec(g, x_b)) / (2.0 * float(x_b @ x_b))
-    else:
-        kappa_b, _ = _polish_kappa(g, x_b, pair_b.value)
+    kappa_b = _kappa_of(g, x_b)
     return {
         "kappa_b": kappa_b,
         "kappa_m": kappa_m,

@@ -26,12 +26,12 @@ class SimConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise InvalidParamsError(f"seed must be >= 0, got {self.seed}")
-        if self.trials < 1:
-            raise InvalidParamsError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_EXACT_INT:
+            raise InvalidParamsError(f"trials must be in [1, 2**53], got {self.trials}")
         if not 1 <= self.max_steps <= MAX_EXACT_INT:
             raise InvalidParamsError(f"max_steps must be in [1, 2**53], got {self.max_steps}")
-        if self.burn_in < 0:
-            raise InvalidParamsError("burn_in must be >= 0")
+        if not 0 <= self.burn_in <= MAX_EXACT_INT:
+            raise InvalidParamsError(f"burn_in must be in [0, 2**53], got {self.burn_in}")
 
 
 @dataclass(frozen=True, eq=False)

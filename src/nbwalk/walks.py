@@ -119,7 +119,13 @@ def stationary_closed(kind, g):
 
 
 def _fundamental_solve(p, rhs, transpose=False):
-    """Solve (I - P + 1uᵀ) x = rhs, u = 1/n, or its transpose: nonsingular iff P is irreducible."""
+    """Solve (I - P + 1uᵀ) x = rhs, u = 1/n, or its transpose, for an irreducible P.
+
+    Irreducibility is not what makes the matrix nonsingular: P = [[1, 0], [1, 0]]
+    (state 1 transient) is reducible, yet I - P + ½·11ᵀ has determinant 1.  So a
+    reducible chain is refused by the reachability check on P's support, not by
+    the solve.
+    """
     mat = p.p
     n = mat.shape[0]
     src, dst = np.divmod(np.flatnonzero(mat > 0), n)  # the arcs of P > 0, in row order

@@ -109,10 +109,8 @@ def test_m_operator_matches_dense_m(corpus):
 def test_solver_diagnostics():
     power = nb_centrality(make_rose(RoseSpec(m=3)))
     assert power.path == "power" and power.iterations > 0
-    polished = nb_centrality(gen_ba(50, 2, 3))
-    assert polished.path == "power" and polished.polished
     unicyclic = nb_centrality(cycle_graph(6))
-    assert (unicyclic.path, unicyclic.iterations, unicyclic.polished) == ("unicyclic", 0, False)
+    assert (unicyclic.path, unicyclic.iterations, unicyclic.kappa) == ("unicyclic", 0, 1.0)
     # A long ring with one chord has its leading eigenvalue close to the rest
     # of the spectrum, so power iteration exhausts its 100 steps per dimension
     # (with the unit shift, rings of 160 and 200 nodes still converge; every
@@ -234,6 +232,41 @@ def test_rose_centrality_matches_closed_forms():
         assert nc.x[0] == pytest.approx(oracle.x_hub, rel=1e-9)
         assert nc.x[1] == pytest.approx(oracle.x_int, rel=1e-9)
         assert nc.x[3] == pytest.approx(oracle.x_per, rel=1e-9)
+
+
+def cycle_with_trees(cycle, n, seed):
+    """A c-node cycle with n - c nodes in trees hung off it: connected, with E == N."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, (i + 1) % cycle) for i in range(cycle)]
+    edges += [(k, int(rng.integers(k))) for k in range(cycle, n)]
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 10, 20, 60, 80, 150, 300])
+def test_rose_kappa_is_the_quadratic_root(m):
+    # The quadratic-identity root is second-order in the vector's error, so
+    # kappa sits within a few ulps of the closed form (2m - 1)^(1/4).
+    oracle = rose4_oracle(m).kappa1
+    assert abs(nb_centrality(make_rose(RoseSpec(m=m))).kappa - oracle) <= 1e-13 * oracle
+
+
+def test_verify_b_vs_m_gap_on_roses_and_small_corpus(small_corpus):
+    roses = [(f"rose-m{m}", make_rose(RoseSpec(m=m))) for m in range(2, 8)]
+    for name, g in roses + small_corpus:
+        assert verify_b_vs_m(g)["max_gap"] <= 1e-12, name
+
+
+@pytest.mark.parametrize("g", [
+    complete_graph(3), cycle_graph(10), star_with_chord(8), cycle_with_trees(7, 60, 1),
+    cycle_with_trees(30, 300, 2),
+], ids=["triangle", "cycle10", "star-chord8", "cycle7-trees60", "cycle30-trees300"])
+def test_unicyclic_kappa_is_exactly_one(g):
+    # E == N makes kappa = 1 a double root; x = 1 gives it with no rounding.
+    nc = nb_centrality(g)
+    assert nc.kappa == 1.0 and nc.path == "unicyclic"
+    assert np.allclose(nc.x, 1.0 / np.sqrt(2 * g.n), rtol=1e-15, atol=0)
+    if 2 * g.num_edges <= 400:
+        assert verify_b_vs_m(g)["max_gap"] <= 1e-12
 
 
 def test_incoming_centrality_identity(corpus):
