@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +26,7 @@ class RoseSpec:
             raise InvalidParamsError(f"petal count must be >= 2, got {self.m}")
         if self.l < 4 or self.l % 2 != 0:
             raise InvalidParamsError(f"cycle length must be even and >= 4, got {self.l}")
-        if 1 + self.m * (self.l - 1) > sys.maxsize:
-            raise InvalidParamsError(
-                f"a rose of {self.m} petals of length {self.l} has more nodes than any array index")
+        check_entries(self.m * self.l, "rose edge count")
 
 
 def make_rose(spec):
@@ -151,6 +148,7 @@ def gen_er(n, p, seed):
     if n < 2 or not (0.0 <= p <= 1.0):
         raise InvalidParamsError(f"invalid ER parameters n={n}, p={p}")
     check_entries(n, "ER node count")
+    check_entries(round(p * (n * (n - 1) // 2)), "ER expected edge count")
     rng = np.random.default_rng(seed)
     edges = []
     for i in range(n - 1):  # one uniform per pair (i, j > i), row by row: O(n) scratch
@@ -229,8 +227,15 @@ def loglog_slope(rows):
 
 
 def corrected_exponent(rows):
-    """Exponent alpha of a least-squares fit of log T = a + alpha log N + sum b_k N^(-k/2)."""
+    """Exponent alpha of a least-squares fit of log T = a + alpha log N + sum b_k N^(-k/2).
+
+    The fit has six parameters, so fewer than six distinct N leave it
+    underdetermined and are refused.
+    """
     n = np.array([r[0] for r in rows], dtype=float)
+    sizes = len(np.unique(n))
+    if sizes < 6:
+        raise InvalidParamsError(f"{sizes} distinct sizes underdetermine the 6-parameter fit")
     t = np.array([r[1] for r in rows], dtype=float)
     design = np.column_stack([np.ones_like(n), np.log(n)]
                              + [n ** (-k / 2) for k in range(1, 5)])

@@ -44,23 +44,16 @@ def _sign_fix(v):
     return -v if v[idx] < 0 else v
 
 
-def _dense_leading(m):
-    """Fallback: dense nonsymmetric eigensolve, eigenvalue of largest real part.
+def _rayleigh(apply, v):
+    """The Rayleigh quotient of the unit vector ``v`` and the max-norm residual of that pair."""
+    mv = apply(v)
+    value = float(v @ mv)
+    return value, float(np.abs(mv - value * v).max())
 
-    Needed when the dominant eigenvalue is defective or tied in modulus with
-    complex eigenvalues (cycles are the canonical case), where power iteration
-    stalls.
-    """
-    evals, evecs = np.linalg.eig(m)
-    best = int(np.argmax(evals.real))
-    value = float(evals.real[best])
-    vec = np.real(evecs[:, best])
-    nrm = np.linalg.norm(vec)
-    if nrm == 0:
-        raise InvalidParamsError("degenerate eigenvector in dense fallback")
-    vec = _sign_fix(vec / nrm)
-    residual = float(np.max(np.abs(m @ vec - value * vec)))
-    return value, vec, residual
+
+def _certified(value, residual):
+    """The certificate of every leading pair here: ``residual <= TOL * max(1, |value|)``."""
+    return residual <= TOL * max(1.0, abs(value))
 
 
 def _start_vector(size):
@@ -77,12 +70,14 @@ def leading_eig(apply, size, dense):
     must return a fresh array on every call, never ``v`` itself or a buffer
     it reuses: each step adds ``v`` to the result and normalises it in place.
     ``dense`` is a thunk building M, called only if the dense fallback is
-    needed.  The iteration runs on ``M + I``; the reported value (a Rayleigh
-    quotient) and the residual are those of M.  If the iteration does not
-    reach ``TOL`` within 100 steps per dimension (e.g. defective or
-    modulus-tied spectra), a dense eigensolve takes the eigenvalue of largest
-    real part.  The vector has unit 2-norm and its largest-magnitude entry
-    is positive.
+    needed.  The iteration runs on ``M + I`` and every 8 steps certifies its
+    unit vector v by :func:`_certified` at M's Rayleigh quotient v·Mv.  If
+    that fails for 100 steps per dimension (e.g. defective or modulus-tied
+    spectra), a dense eigensolve takes the eigenvector of the eigenvalue of
+    largest real part.  On both paths the value is the Rayleigh quotient of
+    the returned unit vector and the residual its max-norm residual, under
+    M (the dense M on the fallback); the fallback's pair is reported
+    uncertified.  The vector's largest-magnitude entry is positive.
 
     The unit shift serves both operators iterated here, the reduced 2Nx2N M
     and the explicit non-backtracking B.  M's eigenvalues are eigenvalues of
@@ -100,28 +95,26 @@ def leading_eig(apply, size, dense):
     fallback's rule picks the Perron root.
     """
     v = _start_vector(size)
-    value = 0.0
-    residual = np.inf
-    it = 0
-    check_every = 8
-    while it < 100 * size:
-        for _ in range(check_every):
+    for it in range(8, 100 * size + 8, 8):  # the residual is checked every 8 steps
+        for _ in range(8):
             w = apply(v)
             w += v
             w /= math.sqrt(w.dot(w))  # np.linalg.norm(w) exactly, without its call overhead
             v = w
-            it += 1
-        mv = apply(v)
-        value = float(v @ mv)
-        residual = float(np.abs(mv - value * v).max())
-        if residual <= TOL * max(1.0, abs(value)):
-            break
-    path = "power"
-    if residual > TOL * max(1.0, abs(value)):
-        value, v, residual = _dense_leading(dense())
-        path = "dense"
-    v = _sign_fix(v)
-    return LeadingEigenpair(value=value, vector=v, residual=residual, iterations=it, path=path)
+        value, residual = _rayleigh(apply, v)
+        if _certified(value, residual):
+            return LeadingEigenpair(value=value, vector=_sign_fix(v), residual=residual,
+                                    iterations=it)
+    m = dense()
+    evals, evecs = np.linalg.eig(m)
+    v = np.real(evecs[:, np.argmax(evals.real)])
+    nrm = np.linalg.norm(v)
+    if nrm == 0:
+        raise InvalidParamsError("degenerate eigenvector in dense fallback")
+    v = v / nrm
+    value, residual = _rayleigh(m.__matmul__, v)
+    return LeadingEigenpair(value=value, vector=_sign_fix(v), residual=residual, iterations=it,
+                            path="dense")
 
 
 def lanczos_leading(apply, size):
@@ -134,8 +127,8 @@ def lanczos_leading(apply, size):
     k·N numbers; the rows grow by doubling.  Every max(8, k // 4) steps the
     k×k tridiagonal T_k is diagonalised.  When the Ritz estimate
     |beta_k s_k| of its largest Ritz pair is at most 0.1·TOL·max(1, |theta|),
-    the Ritz vector y is formed and certified by the same max-norm residual
-    bound as :func:`leading_eig`, with the Rayleigh quotient as the value.
+    the Ritz vector y is formed and certified by :func:`_certified` at its
+    Rayleigh quotient, as in :func:`leading_eig`.
     At a breakdown (the new direction falls to TOL·|A v|) or at k == size
     the Krylov space is invariant and the Ritz pair is exact, so a pair that
     still misses the bound raises ``ConvergenceFailureError``; so does a
@@ -173,10 +166,8 @@ def lanczos_leading(apply, size):
             if final or abs(b * s[-1, -1]) <= 0.1 * TOL * max(1.0, abs(theta[-1])):
                 y = s[:, -1] @ q
                 y /= np.linalg.norm(y)
-                ay = apply(y)
-                value = float(y @ ay)
-                residual = float(np.max(np.abs(ay - value * y)))
-                if residual <= TOL * max(1.0, abs(value)):
+                value, residual = _rayleigh(apply, y)
+                if _certified(value, residual):
                     return LeadingEigenpair(value=value, vector=_sign_fix(y), residual=residual,
                                             iterations=k, path="lanczos")
                 if final:

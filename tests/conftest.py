@@ -15,6 +15,14 @@ def cycle_graph(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def ring_with_chord(n):
+    """Ring on n nodes (n even) plus the chord (0, n/2).
+
+    That is a theta graph: two branch nodes joined by paths of n/2, n/2 and 1 edges.
+    """
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)])
+
+
 def star_with_chord(n):
     """Star on n nodes (hub 0) plus one chord between two leaves.
 

@@ -530,6 +530,9 @@ MALFORMED = {
     "scaling-points-1": (["scaling", "--kind", "turw", "--points", "1"], 6, "invalid_params"),
     "scaling-bad-m-range": (["scaling", "--kind", "turw", "--m-range", "bogus"], 6,
                             "invalid_params"),
+    # Two petal counts cannot determine the six parameters of the corrected fit.
+    "scaling-m-range-2:3": (["scaling", "--kind", "turw", "--m-range", "2:3"], 6,
+                            "invalid_params"),
     "output-missing-directory": (["-o", "{unwritable}", "centrality", "{rose}"], 6,
                                  "invalid_params"),
     "missing-file": (["centrality", "{absent}"], 1, "parse_error"),
@@ -570,6 +573,11 @@ MALFORMED = {
                                           "--l", str(10**60)], 6, "invalid_params"),
     "scaling-points-huge": (["scaling", "--kind", "turw", "--points", str(10**9)], 6,
                             "invalid_params"),
+    # 4·10⁹ edges, and 4.5·10⁹ expected edges, from node counts below the cap.
+    "generate-rose-edges-4e9": (["generate", "--model", "rose", "--m", str(10**9)], 6,
+                                "invalid_params"),
+    "generate-er-edges-4.5e9": (["generate", "--model", "er", "--n", "100000", "--p", "0.9"], 6,
+                                "invalid_params"),
 }
 # Generators asked for more nodes than any array may hold, before any loop or allocation.
 GENERATE_ARGS = {"ws": ["--k", "4", "--beta", "0.1"], "er": ["--p", "0.1"],
@@ -579,7 +587,8 @@ for model, extra in GENERATE_ARGS.items():
         MALFORMED[f"generate-{model}-n-{label}"] = (
             ["generate", "--model", model, "--n", str(n), *extra], 6, "invalid_params")
 # Rows run in a child with 2 GB of address space: unrefused, they would allocate gigabytes.
-IN_CHILD = {"scaling-points-huge"} | {f"generate-{model}-n-1e9" for model in GENERATE_ARGS}
+IN_CHILD = ({"scaling-points-huge", "generate-rose-edges-4e9", "generate-er-edges-4.5e9"}
+            | {f"generate-{model}-n-1e9" for model in GENERATE_ARGS})
 
 
 @pytest.mark.parametrize("name", MALFORMED)

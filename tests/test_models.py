@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from nbwalk import (
-    InvalidParamsError, RoseSpec, WalkKind, gen_ba, gen_er, gen_ws, loglog_slope,
-    make_rose, rose4_oracle, scaling_table, validate,
+    InvalidParamsError, RoseSpec, WalkKind, corrected_exponent, gen_ba, gen_er, gen_ws,
+    loglog_slope, make_rose, rose4_oracle, scaling_table, validate,
 )
 
 from oracles import gen_er_reference
@@ -99,6 +99,18 @@ def test_oracle_size_rewrites_agree():
         assert o.t_global[WalkKind.TURW] == pytest.approx(t_turw, rel=1e-12)
         assert o.t_global[WalkKind.NBCRW] == pytest.approx(t_nbcrw, rel=1e-12)
         assert o.t_global[WalkKind.MERW] == pytest.approx(t_merw, rel=1e-12)
+
+
+def test_edge_counts_above_the_cap_are_refused_before_any_loop():
+    # MAX_DENSE_NODES² = 4·10⁸ edges: a rose has m·l, ER about p·n(n-1)/2.
+    assert RoseSpec(m=10**8).m == 10**8
+    assert RoseSpec(m=2, l=2 * 10**8).l == 2 * 10**8
+    with pytest.raises(InvalidParamsError, match="rose edge count: 400000004 entries"):
+        RoseSpec(m=10**8 + 1)
+    with pytest.raises(InvalidParamsError, match="rose edge count"):
+        RoseSpec(m=2, l=2 * 10**8 + 2)
+    with pytest.raises(InvalidParamsError, match="ER expected edge count: 4499955000 entries"):
+        gen_er(100_000, 0.9, 0)
 
 
 def test_oracle_rejects_small_m():
@@ -201,6 +213,17 @@ def test_scaling_slope_turw_window():
     ms = np.unique(np.geomspace(10, 1000, 40).astype(int)).tolist()
     slope = loglog_slope(scaling_table(WalkKind.TURW, ms))
     assert slope == pytest.approx(1.0, abs=0.02)
+
+
+def test_corrected_exponent_needs_six_distinct_sizes():
+    # Six parameters (a, alpha, b_1..b_4): five sizes leave the fit underdetermined.
+    ms = np.unique(np.geomspace(10, 1000, 6).astype(int)).tolist()
+    rows = scaling_table(WalkKind.TURW, ms)
+    assert len(rows) == 6
+    assert corrected_exponent(rows) == pytest.approx(1.0, abs=1e-5)
+    for short in (rows[:5], rows[:5] + rows[:1]):
+        with pytest.raises(InvalidParamsError, match="5 distinct sizes"):
+            corrected_exponent(short)
 
 
 def test_scaling_asymptotic_exponents():

@@ -15,19 +15,11 @@ from nbwalk import (
 from nbwalk.graph import MAX_DENSE_NODES, dense_on_arcs
 from nbwalk.nbcentrality import _m_operator
 
-from conftest import complete_graph, cycle_graph, dense_pair, star_with_chord
+from conftest import complete_graph, cycle_graph, dense_pair, ring_with_chord, star_with_chord
 
 
 def path_graph(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def ring_with_chord(n):
-    """Ring on n nodes (n even) plus the chord (0, n/2).
-
-    That is a theta graph: two branch nodes joined by paths of n/2, n/2 and 1 edges.
-    """
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)])
 
 
 def theta_kappa(lengths):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from nbwalk import (
-    ConvergenceFailureError, InvalidParamsError, Graph, RoseSpec, build_m_matrix, gen_ws,
-    lanczos_leading, leading_eig, make_rose, sym_eig,
+    ConvergenceFailureError, InvalidParamsError, Graph, RoseSpec, build_m_matrix,
+    eigenvector_centrality, gen_ba, gen_ws, lanczos_leading, leading_eig, make_rose, sym_eig,
 )
-from nbwalk.nbcentrality import _adj_matvec
+from nbwalk.nbcentrality import _adj_matvec, _m_operator
 
-from conftest import complete_graph, cycle_graph, dense_pair, star_with_chord
+from conftest import complete_graph, cycle_graph, dense_pair, ring_with_chord, star_with_chord
 from oracles import laplacian
 
 
@@ -140,6 +140,30 @@ def test_leading_eig_deterministic():
     b = dense_pair(m)
     assert a.value == b.value
     assert a.vector.tobytes() == b.vector.tobytes()
+
+
+@pytest.mark.parametrize("path", ["power", "dense", "lanczos"])
+def test_reported_pair_is_the_certificate_of_its_vector(path):
+    # On every path the value is the Rayleigh quotient of the returned unit
+    # vector, to the last bit, and the residual is the max-norm residual of
+    # that pair, under the operator the solver used: M's edge-list product
+    # (power), the dense M (the fallback) or A's edge-list product (Lanczos).
+    if path == "lanczos":
+        g = gen_ba(200, 2, 1)
+        pair, apply = eigenvector_centrality(g), lambda v: _adj_matvec(g, v)
+    else:
+        # The 240-ring with one chord exhausts power iteration (test_solver_diagnostics).
+        g = make_rose(RoseSpec(m=3)) if path == "power" else ring_with_chord(240)
+        m = build_m_matrix(g)
+        pair = leading_eig(_m_operator(g), size=2 * g.n, dense=lambda: m)
+        apply = _m_operator(g) if path == "power" else m.__matmul__
+    v = pair.vector
+    mv = apply(v)
+    assert pair.path == path
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+    assert pair.value == float(v @ mv)
+    assert pair.residual == float(np.max(np.abs(mv - pair.value * v)))
+    assert pair.residual <= 1e-12 * max(1.0, abs(pair.value))
 
 
 def adjacency_lanczos(g):
