@@ -7,6 +7,7 @@ scaling, simulate.  Global flags go before the subcommand.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -489,8 +490,16 @@ def _write_output(args, payload, rows, manifest):
         except OSError as exc:
             raise InvalidParamsError(f"cannot write --output {args.output!r}: {exc.strerror}")
     else:
-        sys.stdout.writelines(text)
-        sys.stdout.flush()
+        try:
+            sys.stdout.writelines(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # Point stdout at the null device so the interpreter's final flush stays quiet.
+            with contextlib.suppress(OSError, ValueError):  # a stdout without a file descriptor
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                raise  # the reader closed stdout early (``nbwalk ... | head``)
+            raise InvalidParamsError(f"cannot write stdout: {exc.strerror}")
 
 
 def main(argv=None):
@@ -506,12 +515,6 @@ def main(argv=None):
         sys.stderr.write(json.dumps({"error": exc.code, "message": str(exc)}) + "\n")
         return exc.exit_code
     except BrokenPipeError:
-        # The reader closed stdout early (``nbwalk ... | head``).  Point stdout
-        # at the null device so the interpreter's final flush stays quiet.
-        try:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        except (OSError, ValueError):
-            pass  # a stdout without a file descriptor
         return EXIT_STDOUT_CLOSED
     return 0
 

@@ -11,8 +11,6 @@ from .errors import InvalidParamsError
 from .graph import MAX_EXACT_INT, Graph, check_entries
 from .walks import WalkKind
 
-CLASS_PAIRS = ("I->H", "P->H", "H->I", "I->I", "P->I", "H->P", "I->P")
-
 
 @dataclass(frozen=True)
 class RoseSpec:
@@ -30,27 +28,18 @@ class RoseSpec:
 
 
 def make_rose(spec):
-    """Rose graph with hub = node 0.
+    """Rose graph with hub = node 0 and petal i on nodes b .. b+l-2, b = 1 + i(l-1).
 
-    For l = 4, petal i has internal nodes 3i+1 and 3i+2 (hub neighbors) and
-    peripheral node 3i+3.  For general even l each petal is a cycle threaded
-    through the hub with sequentially labelled nodes.
+    Each petal is the cycle 0, b, b+2, b+3, ..., b+l-2, b+1, 0: b and b+1 are
+    the hub's neighbours.  For l = 4 the internal nodes are 3i+1 and 3i+2 and
+    the peripheral node is 3i+3.
     """
     m, l = spec.m, spec.l
+    n = 1 + m * (l - 1)
     edges = []
-    if l == 4:
-        for i in range(m):
-            a, b, p = 3 * i + 1, 3 * i + 2, 3 * i + 3
-            edges += [(0, a), (0, b), (a, p), (b, p)]
-        n = 3 * m + 1
-    else:
-        per = l - 1
-        for i in range(m):
-            base = 1 + i * per
-            cycle = [0] + list(range(base, base + per))
-            for k in range(l):
-                edges.append((cycle[k], cycle[(k + 1) % l]))
-        n = 1 + m * per
+    for b in range(1, n, l - 1):
+        cycle = [0, b, *range(b + 2, b + l - 1), b + 1]
+        edges += zip(cycle, cycle[1:] + [0])
     return Graph.from_edges(n, edges)
 
 
@@ -172,11 +161,12 @@ def gen_ba(n, m_attach, seed):
     degrees = np.zeros(n)
     degrees[:m0] = m0 - 1
     for new in range(m0, n):
+        # Generator.choice(new, p)'s inverse-CDF draw, with its CDF built once per node.
+        cdf = np.cumsum(degrees[:new] / degrees[:new].sum())
+        cdf /= cdf[-1]
         targets = set()
-        weights = degrees[:new]
         while len(targets) < m_attach:
-            pick = int(rng.choice(new, p=weights / weights.sum()))
-            targets.add(pick)
+            targets.add(int(cdf.searchsorted(rng.random(), side="right")))
         for t in sorted(targets):
             edges.append((t, new))
             degrees[t] += 1
@@ -185,31 +175,29 @@ def gen_ba(n, m_attach, seed):
 
 
 def gen_ws(n, k, beta, seed):
-    """Watts-Strogatz ring of even degree k rewired with probability beta."""
+    """Watts-Strogatz ring of even degree k rewired with probability beta.
+
+    Each lattice edge (u, u+j), j = 1 .. k/2 in turn, is rewired with
+    probability beta to (u, w) for the first w != u not yet joined to u
+    among at most 100n + 1 uniform draws, and is kept if none is.
+    """
     if k < 2 or k % 2 != 0 or k >= n or not (0.0 <= beta <= 1.0):
         raise InvalidParamsError(f"invalid WS parameters n={n}, k={k}, beta={beta}")
     check_entries(n, "WS node count")
     check_entries(n * k // 2, "WS edge count")
     rng = np.random.default_rng(seed)
-    present = {(u, (u + j) % n) for u in range(n) for j in range(1, k // 2 + 1)}
-    present = {(min(u, v), max(u, v)) for (u, v) in present}
-    for j in range(1, k // 2 + 1):
-        for u in range(n):
-            v = (u + j) % n
-            key = (min(u, v), max(u, v))
-            if key not in present:
-                continue
-            if rng.random() < beta:
+    ring = [(u, (u + j) % n) for j in range(1, k // 2 + 1) for u in range(n)]
+    present = {(min(e), max(e)) for e in ring}
+    for u, v in ring:
+        if rng.random() < beta:
+            for _ in range(100 * n + 1):
                 w = int(rng.integers(n))
-                attempts = 0
-                while w == u or (min(u, w), max(u, w)) in present:
-                    w = int(rng.integers(n))
-                    attempts += 1
-                    if attempts > 100 * n:
-                        break
-                else:
-                    present.remove(key)
+                if w != u and (min(u, w), max(u, w)) not in present:
+                    present.remove((min(u, v), max(u, v)))
                     present.add((min(u, w), max(u, w)))
+                    break
+            else:
+                rng.integers(n)  # one dropped draw past the cap: the seeded graphs depend on it
     return Graph.from_edges(n, sorted(present))
 
 

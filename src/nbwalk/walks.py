@@ -46,8 +46,9 @@ class ReversibleWalk:
     and the strengths are s = W 1.  No N×N array is kept: ``transition`` and
     ``laplacian`` each scatter ``w`` onto a fresh dense matrix through
     ``graph.dense_on_arcs``, refused above ``MAX_DENSE_NODES`` nodes.  A disconnected
-    graph is refused first, then a zero strength; every s_i > 0 needs every
-    x_i > 0, so the support of W is then the connected graph itself.
+    graph is refused first, then a potential entry that is not finite and
+    >= 0, then a zero strength; every s_i > 0 needs every x_i > 0, so the
+    support of W is then the connected graph itself.
     """
 
     def __init__(self, kind, g, x):
@@ -56,8 +57,8 @@ class ReversibleWalk:
         if not g.connected:
             raise NotConnectedError("graph is not connected")
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
-            raise InvalidParamsError("negative potential entry")
+        if not np.all(np.isfinite(x) & (x >= 0)):
+            raise InvalidParamsError("potential entries must be finite and >= 0")
         self.w = x[self.src] * x[self.dst]
         self.s = np.bincount(self.src, weights=self.w, minlength=g.n)
         bad = np.flatnonzero(self.s <= 0.0)

@@ -1,5 +1,5 @@
-"""The paper's formulas, the per-target absorbing solves, GTH elimination, the ER generator and
-the per-line edge-list parser, as test oracles.
+"""The paper's formulas, the per-target absorbing solves, GTH elimination, the ER, BA and WS
+generators and the per-line edge-list parser, as test oracles.
 
 None of these is a production path: the library computes every walk from one
 reversible-walk kernel and parses with array operations, and the tests hold
@@ -29,6 +29,60 @@ def gen_er_reference(n, p, seed):
     iu, ju = np.triu_indices(n, k=1)
     mask = rng.random(iu.size) < p
     return Graph.from_edges(n, list(zip(iu[mask].tolist(), ju[mask].tolist())))
+
+
+def gen_ba_reference(n, m_attach, seed):
+    """Barabasi-Albert attachment by one ``Generator.choice(new, p=p)`` per draw.
+
+    ``gen_ba`` inverts the same uniforms against one CDF per new node; this
+    keeps the per-draw ``choice`` as the reference for its edge sets.
+    """
+    rng = np.random.default_rng(seed)
+    m0 = m_attach + 1
+    edges = [(i, j) for i in range(m0) for j in range(i + 1, m0)]
+    degrees = np.zeros(n)
+    degrees[:m0] = m0 - 1
+    for new in range(m0, n):
+        targets = set()
+        weights = degrees[:new]
+        while len(targets) < m_attach:
+            pick = int(rng.choice(new, p=weights / weights.sum()))
+            targets.add(pick)
+        for t in sorted(targets):
+            edges.append((t, new))
+            degrees[t] += 1
+        degrees[new] = m_attach
+    return Graph.from_edges(n, edges)
+
+
+def gen_ws_reference(n, k, beta, seed):
+    """Watts-Strogatz rewiring by a ``while ... else`` loop with an attempt counter.
+
+    ``gen_ws`` draws the same stream in one bounded loop; this keeps the
+    counted loop, with its membership test of each lattice key, as the
+    reference for its edge sets.
+    """
+    rng = np.random.default_rng(seed)
+    present = {(u, (u + j) % n) for u in range(n) for j in range(1, k // 2 + 1)}
+    present = {(min(u, v), max(u, v)) for (u, v) in present}
+    for j in range(1, k // 2 + 1):
+        for u in range(n):
+            v = (u + j) % n
+            key = (min(u, v), max(u, v))
+            if key not in present:
+                continue
+            if rng.random() < beta:
+                w = int(rng.integers(n))
+                attempts = 0
+                while w == u or (min(u, w), max(u, w)) in present:
+                    w = int(rng.integers(n))
+                    attempts += 1
+                    if attempts > 100 * n:
+                        break
+                else:
+                    present.remove(key)
+                    present.add((min(u, w), max(u, w)))
+    return Graph.from_edges(n, sorted(present))
 
 
 def graph_reference(n, edges, labels=None):

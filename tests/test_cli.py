@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -369,6 +371,24 @@ def test_hitting_both_on_ba1000_passes_gate(tmp_path, capsys):
     for rep in out["reports"]:
         bound = 1e-7 * (1.0 + max(rep["t_partial"]))
         assert rep["spectral_vs_linear_max_gap"] <= bound, rep["kind"]
+
+
+def test_hitting_both_refuses_a_gap_above_the_bound(tmp_path, capsys, monkeypatch):
+    # A linear T off by 1e-6 of itself is about ten times past 1e-7 * (1 + max T).
+    from nbwalk import cli
+    exact = cli.hitting_linear
+
+    def perturbed(p):
+        report = exact(p)
+        report.t[...] *= 1.0 + 1e-6
+        return report
+
+    monkeypatch.setattr(cli, "hitting_linear", perturbed)
+    code = main(["hitting", rose2_file(tmp_path), "--walk", "turw", "--method", "both"])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 7 and err["error"] == "ill_conditioned"
+    assert re.fullmatch(r"turw walk: spectral and linear hitting times differ by \S+, above \S+",
+                        err["message"])
 
 
 def test_hitting_matrix_json_is_exact(tmp_path, capsys):
@@ -809,6 +829,20 @@ def test_closed_stdout_exits_quietly(tmp_path, capsys, monkeypatch):
     code = main(["hitting", rose2_file(tmp_path)])
     assert code == EXIT_STDOUT_CLOSED == 141
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_full_stdout_is_an_invalid_params_refusal():
+    # Every write to /dev/full fails with ENOSPC: one JSON error line, no traceback.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "nbwalk.cli", "rose-oracle", "5"], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 6
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "invalid_params",
+                                    "message": f"cannot write stdout: {os.strerror(errno.ENOSPC)}"}
 
 
 # The exit codes of the README's error table.

@@ -200,8 +200,10 @@ def test_weighted_from_centrality_zero_vector():
 
 
 def test_weighted_from_centrality_rejects_negative():
-    with pytest.raises(InvalidParamsError):
-        ReversibleWalk(WalkKind.NBCRW, complete_graph(3), np.array([1.0, -1.0, 1.0]))
+    # A NaN or infinite entry would give NaN strengths, pi and rows of P.
+    for bad in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidParamsError, match="finite and >= 0"):
+            ReversibleWalk(WalkKind.NBCRW, complete_graph(3), np.array([1.0, bad, 1.0]))
 
 
 def test_weighted_laplacian_path_values():

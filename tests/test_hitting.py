@@ -159,6 +159,18 @@ def test_linear_singular_solve_is_ill_conditioned(oracle, monkeypatch):
         oracle(p)
 
 
+def test_walk_hitting_cholesky_failure_is_ill_conditioned(monkeypatch):
+    # No known input gets past the spread check to a failed factor; force one.
+    def not_positive_definite(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+    with pytest.raises(IllConditionedError, match=r"nbcrw walk: the weighted Laplacian is "
+                       r"numerically singular \(its Cholesky factorisation failed\)") as exc:
+        walk_hitting(reversible_walk(WalkKind.NBCRW, make_rose(RoseSpec(m=2))))
+    assert exc.value.exit_code == 7
+
+
 @pytest.mark.parametrize("eps, refused", [(1e-9, False), (1e-10, True)])
 def test_strength_spread_past_the_error_bound_is_ill_conditioned(eps, refused):
     # Strengths 1 + eps, 1 + eps and 2 eps: max/min * 2^-53 is 5.6e-8 at

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from nbwalk import (
-    InvalidParamsError, RoseSpec, WalkKind, corrected_exponent, gen_ba, gen_er, gen_ws,
+    Graph, InvalidParamsError, RoseSpec, WalkKind, corrected_exponent, gen_ba, gen_er, gen_ws,
     loglog_slope, make_rose, rose4_oracle, scaling_table, validate,
 )
 
-from oracles import gen_er_reference
+from oracles import gen_ba_reference, gen_er_reference, gen_ws_reference
 
 
 def test_rose_m2_shape():
@@ -23,6 +23,31 @@ def test_rose_m2_shape():
     degs = g.degrees
     assert degs[0] == 4
     assert np.all(degs[1:] == 2)
+
+
+def test_rose4_petals_keep_their_labels():
+    # Petal i: internal nodes 3i+1 and 3i+2 on the hub, peripheral node 3i+3.
+    for m in range(2, 201):
+        edges = []
+        for i in range(m):
+            a, b, p = 3 * i + 1, 3 * i + 2, 3 * i + 3
+            edges += [(0, a), (0, b), (a, p), (b, p)]
+        assert make_rose(RoseSpec(m=m)).edges == Graph.from_edges(3 * m + 1, edges).edges, m
+
+
+@pytest.mark.parametrize("m, l", [(2, 6), (3, 8), (7, 6), (3, 20)])
+def test_rose_petal_rule_for_longer_cycles(m, l):
+    # Petal i on b .. b+l-2, b = 1 + i(l-1), runs 0, b, b+2, ..., b+l-2, b+1, 0:
+    # the sequential cycle 0, b, b+1, ..., b+l-2, 0 relabelled within the petal.
+    g = make_rose(RoseSpec(m=m, l=l))
+    perm = np.arange(g.n)
+    for b in range(1, g.n, l - 1):
+        perm[b:b + l - 1] = [b, *range(b + 2, b + l - 1), b + 1]
+    sequential = [(int(perm[u]), int(perm[v])) for b in range(1, g.n, l - 1)
+                  for u, v in zip([0, *range(b, b + l - 1)], [*range(b, b + l - 1), 0])]
+    assert g.edges == Graph.from_edges(g.n, sequential).edges
+    hub_neighbours = [v for (u, v) in g.edges if u == 0]
+    assert hub_neighbours == [b + d for b in range(1, g.n, l - 1) for d in (0, 1)]
 
 
 def test_rose_long_cycles():
@@ -165,6 +190,52 @@ def test_er_memory_is_linear():
         tracemalloc.stop()
     assert 20000 < g.num_edges < 30000
     assert peak < 16_000_000, peak
+
+
+def _grid(seed, count=200):
+    """``count`` seeded (n, k, beta, draw_seed) and (n, m_attach, draw_seed) draws, n < 40."""
+    rng = np.random.default_rng(seed)
+    ws, ba = [], []
+    for _ in range(count):
+        n = int(rng.integers(3, 40))
+        k = 2 * int(rng.integers(1, min(n - 1, 10) // 2 + 1))
+        ws.append((n, k, min(1.0, 1.25 * float(rng.random())), int(rng.integers(2**32))))
+        m_attach = int(rng.integers(1, 6))
+        ba.append((int(rng.integers(m_attach + 2, 40)), m_attach, int(rng.integers(2**32))))
+    return ws, ba
+
+
+WS_GRID, BA_GRID = _grid(2018)
+
+
+def test_ba_and_ws_draw_the_reference_streams_on_a_seeded_grid():
+    for args in WS_GRID:
+        assert gen_ws(*args).edges == gen_ws_reference(*args).edges, args
+    for args in BA_GRID:
+        assert gen_ba(*args).edges == gen_ba_reference(*args).edges, args
+
+
+@pytest.mark.parametrize("model, args, salt", [
+    ("ba", (100, 2), 8), ("ba", (300, 2), 7), ("ba", (520, 2), 1), ("ba", (1000, 2), 3),
+    ("ws", (510, 6, 0.1), 2),
+])
+def test_benchmark_graphs_are_the_reference_graphs(model, args, salt):
+    # benchmarks/workloads.py draws each graph at sub_seed(BASE_SEED = 0, salt)
+    # and keeps the first connected non-tree draw.
+    seed = int(np.random.SeedSequence([0, salt]).generate_state(1)[0])
+    make, reference = {"ba": (gen_ba, gen_ba_reference), "ws": (gen_ws, gen_ws_reference)}[model]
+    g = make(*args, seed)
+    flags = validate(g)
+    assert flags.connected and not flags.is_tree
+    assert g.edges == reference(*args, seed).edges
+
+
+@pytest.mark.parametrize("n, k, beta, seed", [
+    (5, 4, 0.5, 0), (7, 6, 1.0, 0),  # complete graphs: every rewiring exhausts 100n + 1 draws
+    (4, 2, 0.5, 8), (6, 4, 0.5, 4),  # a rewiring exhausts the cap and a later one reads the stream
+])
+def test_ws_draws_the_reference_stream_past_the_rewiring_cap(n, k, beta, seed):
+    assert gen_ws(n, k, beta, seed).edges == gen_ws_reference(n, k, beta, seed).edges
 
 
 def test_ba_edge_count_and_connectivity():

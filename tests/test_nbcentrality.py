@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from nbwalk import (
-    Graph, InvalidParamsError, NotConnectedError, ReversibleWalk, RoseSpec, TreeGraphError,
-    WalkKind, build_m_matrix, build_nb_matrix, eigenvector_centrality, gen_ba, gen_er, make_rose,
-    nb_centrality, reversible_walk, rose4_oracle, verify_b_vs_m,
+    ConvergenceFailureError, Graph, InvalidParamsError, NotConnectedError, ReversibleWalk,
+    RoseSpec, TreeGraphError, WalkKind, build_m_matrix, build_nb_matrix, eigenvector_centrality,
+    gen_ba, gen_er, make_rose, nb_centrality, nbcentrality, reversible_walk, rose4_oracle,
+    verify_b_vs_m,
 )
 from nbwalk.graph import MAX_DENSE_NODES, dense_on_arcs
 from nbwalk.nbcentrality import _m_operator
@@ -205,6 +206,23 @@ def test_not_connected_gate():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     with pytest.raises(NotConnectedError):
         nb_centrality(g)
+
+
+def test_reduced_residual_gate(monkeypatch):
+    # One entry of the leading vector off by 1e-6 of itself leaves a reduced
+    # residual far above the gate of 1e3 * TOL * max(1, kappa).
+    exact = nbcentrality.leading_eig
+
+    def perturbed(*args, **kwargs):
+        pair = exact(*args, **kwargs)
+        pair.vector[0] *= 1.0 + 1e-6
+        return pair
+
+    monkeypatch.setattr(nbcentrality, "leading_eig", perturbed)
+    with pytest.raises(ConvergenceFailureError,
+                       match=r"reduced eigen-equation residual \S+ exceeds 1\.\de-09") as exc:
+        nb_centrality(make_rose(RoseSpec(m=3)))
+    assert exc.value.exit_code == 5
 
 
 def test_regular_graph_uniform_centrality():

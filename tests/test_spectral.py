@@ -229,3 +229,13 @@ def test_lanczos_basis_is_capped(monkeypatch):
     monkeypatch.setattr("nbwalk.spectral.MAX_DENSE_NODES", 40)
     with pytest.raises(ConvergenceFailureError, match="Lanczos basis"):
         adjacency_lanczos(cycle_graph(400))
+
+
+def test_lanczos_refuses_an_uncertified_pair_on_an_invariant_space():
+    # A non-symmetric operator breaks Lanczos' premise: at k == size the
+    # Krylov space is the whole space, yet the Ritz pair misses the bound.
+    shear = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ConvergenceFailureError,
+                       match=r"Lanczos residual \S+ on an invariant Krylov space") as exc:
+        lanczos_leading(shear.__matmul__, 2)
+    assert exc.value.exit_code == 5 and exc.value.residual > 0.1
