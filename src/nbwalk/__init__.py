@@ -5,8 +5,6 @@ the unbiased walk, the maximal-entropy walk, and the non-backtracking
 centrality biased walk, with cross-validating oracles.
 """
 
-import logging
-
 __version__ = "0.1.0"
 
 from .errors import (
@@ -31,7 +29,3 @@ from .walks import (
     ReversibleWalk, StationaryDistribution, TransitionMatrix, WalkKind, detailed_balance_residual,
     ipr, potential, reversible_walk, stationary_closed, stationary_generic, transition,
 )
-
-# A library leaves its warnings to the application's logging set-up: with no
-# handler anywhere, logging would print them to stderr itself.
-logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -38,11 +38,6 @@ from .walks import (
     WalkKind, detailed_balance_residual, ipr, reversible_walk, stationary_generic, transition,
 )
 
-def _fmt(x):
-    """Round-trip-exact text for a float."""
-    return format(float(x), ".17g")
-
-
 def _table(entries):
     """CSV rows of flat records that share their keys: the keys, then each record's values."""
     return [list(entries[0])] + [list(entry.values()) for entry in entries]
@@ -156,6 +151,7 @@ def build_parser():
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("-o", "--output", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
+    kinds = [kind.value for kind in WalkKind]
 
     def add_graph_arg(p):
         p.add_argument("graph_file")
@@ -167,13 +163,13 @@ def build_parser():
 
     p = sub.add_parser("stationary", help="stationary distributions per walk kind")
     add_graph_arg(p)
-    p.add_argument("--walk", choices=["turw", "merw", "nbcrw", "all"], default="all")
+    p.add_argument("--walk", choices=[*kinds, "all"], default="all")
     p.add_argument("--check", action="store_true",
                    help="cross-check with the linear solve and detailed balance")
 
     p = sub.add_parser("hitting", help="hitting-time reports")
     add_graph_arg(p)
-    p.add_argument("--walk", choices=["turw", "merw", "nbcrw", "all"], default="all")
+    p.add_argument("--walk", choices=[*kinds, "all"], default="all")
     p.add_argument("--method", choices=["spectral", "linear", "both"], default="spectral")
     p.add_argument("--target", default="global",
                    help="'hub', 'global', or a node id; comma-separated combinations allowed")
@@ -194,19 +190,19 @@ def build_parser():
 
     p = sub.add_parser("rose-oracle", help="closed-form reference values for rose graphs")
     p.add_argument("m", type=int)
-    p.add_argument("--walk", choices=["turw", "merw", "nbcrw", "all"], default="all")
+    p.add_argument("--walk", choices=[*kinds, "all"], default="all")
 
     p = sub.add_parser("compare", help="per-kind summary table for one graph")
     add_graph_arg(p)
 
     p = sub.add_parser("scaling", help="global mean hitting time vs size from closed forms")
-    p.add_argument("--kind", choices=["turw", "merw", "nbcrw"], required=True)
+    p.add_argument("--kind", choices=kinds, required=True)
     p.add_argument("--m-range", default="10:1000")
     p.add_argument("--points", type=int, default=40)
 
     p = sub.add_parser("simulate", help="Monte Carlo cross-check")
     add_graph_arg(p)
-    p.add_argument("--walk", choices=["turw", "merw", "nbcrw"], required=True)
+    p.add_argument("--walk", choices=kinds, required=True)
     p.add_argument("--mode", choices=["stationary", "hitting"], required=True)
     p.add_argument("--source", default=None, help="node id as written in the graph file")
     p.add_argument("--target", default=None, help="node id as written in the graph file")
@@ -327,10 +323,7 @@ def cmd_hitting(args):
         for node in nodes:
             entry[f"t_partial_{g.labels[node]}"] = float(main.t_partial[node])
         if audit:
-            report = eq26_audit(spectral, linear)
-            entry["eq26_audit"] = {key: report[key] for key in (
-                "t_verbatim", "t_consistent", "max_gap_consistent_vs_linear",
-                "max_gap_verbatim_vs_linear", "note")}
+            entry["eq26_audit"] = eq26_audit(spectral, linear)
         reports.append(entry)
     return {"reports": reports}, inputs, _node_rows(reports, "t_partial", g.labels)
 
@@ -475,31 +468,27 @@ def _write_output(args, payload, rows, manifest):
         text = payload["edge_list"]
     elif args.format == "csv":
         header = "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n"
-        body = "\n".join(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row)
-                         for row in rows)
+        body = "\n".join(",".join(float.__repr__(c) if isinstance(c, float) else str(c)
+                                  for c in row) for row in rows)
         text = header + body + "\n"
     else:
         payload = dict(payload)
         payload["manifest"] = manifest
         # Streamed: a full hitting matrix as one string costs several times its size.
         text = itertools.chain(_iterjson(payload), ("\n",))
-    if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.writelines(text)
-        except OSError as exc:
+    try:
+        with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+            fh.writelines(text)
+            fh.flush()
+    except OSError as exc:
+        if args.output:
             raise InvalidParamsError(f"cannot write --output {args.output!r}: {exc.strerror}")
-    else:
-        try:
-            sys.stdout.writelines(text)
-            sys.stdout.flush()
-        except OSError as exc:
-            # Point stdout at the null device so the interpreter's final flush stays quiet.
-            with contextlib.suppress(OSError, ValueError):  # a stdout without a file descriptor
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            if isinstance(exc, BrokenPipeError):
-                raise  # the reader closed stdout early (``nbwalk ... | head``)
-            raise InvalidParamsError(f"cannot write stdout: {exc.strerror}")
+        # Point stdout at the null device so the interpreter's final flush stays quiet.
+        with contextlib.suppress(OSError, ValueError):  # a stdout without a file descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise  # the reader closed stdout early (``nbwalk ... | head``)
+        raise InvalidParamsError(f"cannot write stdout: {exc.strerror}")
 
 
 def main(argv=None):

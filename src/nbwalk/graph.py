@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -12,8 +11,6 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import InvalidParamsError, ParseError
-
-logger = logging.getLogger(__name__)
 
 # One float64 N×N array at this many nodes takes 3.2 GB; no larger one is made.
 MAX_DENSE_NODES = 20000
@@ -182,9 +179,9 @@ def parse_edge_list(text, index_base=0, delimiter=None, *, return_duplicates=Fal
     header fixes the node count, which allows isolated nodes; the last one
     wins.  ``delimiter=None`` splits on whitespace; pass ``","`` for
     comma-separated input, where each token is stripped and empty ones are
-    dropped.  Duplicate edges collapse to one with a warning; self-loops are
-    rejected.  A malformed line raises ``ParseError`` with its line number.
-    With ``return_duplicates=True`` the result is ``(graph, count)``, where
+    dropped.  Duplicate edges collapse to one; self-loops are rejected.  A
+    malformed line raises ``ParseError`` with its line number.  With
+    ``return_duplicates=True`` the result is ``(graph, count)``, where
     ``count`` is the number of edge lines that repeat an earlier edge.
 
     The text is read in blocks of ``PARSE_BLOCK`` lines with string methods
@@ -209,10 +206,7 @@ def parse_edge_list(text, index_base=0, delimiter=None, *, return_duplicates=Fal
     if max_id is not None and max_id >= n:
         raise ParseError(f"node id {max_id + index_base} out of range for %N {n}")
     g = Graph.from_edges(n, pairs, labels=range(index_base, n + index_base))
-    duplicates = len(pairs) - g.num_edges
-    if duplicates:
-        logger.warning("%d duplicate edges collapsed", duplicates)
-    return (g, duplicates) if return_duplicates else g
+    return (g, len(pairs) - g.num_edges) if return_duplicates else g
 
 
 def _parse_block(lines, first, index_base, delimiter, header_n):

@@ -15,6 +15,20 @@ def cycle_graph(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def path_graph(n):
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star_graph(leaves):
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def triangle_with_path(length):
+    """A triangle 0-1-2 with the pendant path 2-3-...-(length + 2)."""
+    edges = [(0, 1), (1, 2), (0, 2)] + [(i, i + 1) for i in range(2, length + 2)]
+    return Graph.from_edges(length + 3, edges)
+
+
 def ring_with_chord(n):
     """Ring on n nodes (n even) plus the chord (0, n/2).
 

@@ -293,12 +293,12 @@ def test_criterion_8_monte_carlo_validation(tmp_path, capsys):
 
 def test_criterion_9_prefactor_audit(tmp_path, capsys):
     k3 = complete_graph(3)
-    audit = eq26_audit(hitting_spectral(WalkKind.NBCRW, k3),
-                       hitting_linear(transition(WalkKind.NBCRW, k3)))
+    linear = hitting_linear(transition(WalkKind.NBCRW, k3))
+    audit = eq26_audit(hitting_spectral(WalkKind.NBCRW, k3), linear)
     off = ~np.eye(3, dtype=bool)
     ok = (np.allclose(audit["t_verbatim"][off], 1.0, atol=1e-9)
           and np.allclose(audit["t_consistent"][off], 2.0, atol=1e-9)
-          and np.allclose(audit["t_linear"][off], 2.0, atol=1e-9)
+          and np.allclose(linear.t[off], 2.0, atol=1e-9)
           and bool(audit["note"]))
     path = tmp_path / "k3.txt"
     path.write_text("0 1\n1 2\n2 0\n")

@@ -21,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 from nbwalk import InvalidParamsError
 from nbwalk.cli import COMMANDS, EXIT_STDOUT_CLOSED, WRITE_BLOCK, _iterjson, build_parser, main
 
+from conftest import triangle_with_path
+
 
 def run_json(capsys, argv):
     code = main(argv)
@@ -116,8 +118,8 @@ def test_disconnected_exit_code(tmp_path, capsys):
 
 
 def triangle_with_path_file(tmp_path, length):
-    """A triangle 0-1-2 with the pendant path 2-3-...-(length + 2)."""
-    edges = ["0 1", "1 2", "0 2"] + [f"{i} {i + 1}" for i in range(2, length + 2)]
+    """The edge list of ``triangle_with_path(length)``."""
+    edges = [f"{u} {v}" for u, v in triangle_with_path(length).edges]
     return write_graph(tmp_path, f"tripath{length}.txt", "\n".join(edges) + "\n")
 
 
@@ -170,8 +172,8 @@ def test_manifest_counts_duplicate_edges(tmp_path, capsys, command):
 
 
 def test_duplicate_edges_leave_stderr_empty(tmp_path):
-    # In a child process, where no logging is configured: a library warning
-    # would otherwise reach stderr through logging's last-resort handler.
+    # In a child process, so stderr is the real one: the count goes to the
+    # manifest and nothing to stderr.
     proc = run_limited(["centrality", write_graph(tmp_path, "k3.txt", "0 1\n1 2\n2 0\n1 0\n")])
     assert proc.returncode == 0
     assert proc.stderr == ""
@@ -455,6 +457,25 @@ def test_compare_csv_matches_oracle(tmp_path, capsys):
     assert float(rows["turw"][5]) == pytest.approx(200.0 / 21, abs=1e-9)
 
 
+def test_csv_floats_are_the_json_floats(tmp_path, capsys):
+    graph = str(tmp_path / "rose20.txt")
+    assert main(["-o", graph, "generate", "--model", "rose", "--m", "20"]) == 0
+    for argv in (["stationary", graph, "--walk", "all"], ["compare", graph]):
+        payload = run_json(capsys, argv)
+        assert main(["--format", "csv", *argv]) == 0
+        header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        if argv[0] == "stationary":
+            values = [[report["kind"], node, pi] for report in payload["reports"]
+                      for node, pi in enumerate(report["pi"])]
+        else:
+            values = [[row[key] for key in header] for row in payload["rows"]]
+        cells = [(cell, value) for row, row_values in zip(rows, values, strict=True)
+                 for cell, value in zip(row, row_values, strict=True)]
+        assert any(isinstance(value, float) for _, value in cells)
+        for cell, value in cells:
+            assert cell == (float.__repr__(value) if isinstance(value, float) else str(value))
+
+
 def test_scaling_turw_slope(capsys):
     out = run_json(capsys, ["scaling", "--kind", "turw", "--m-range", "10:1000"])
     assert out["slope"] == pytest.approx(1.0, abs=0.02)
@@ -723,6 +744,14 @@ def as_lists(obj):
 @given(JSON_TREES)
 def test_writer_matches_stdlib_encoding(obj):
     assert "".join(_iterjson(obj)) == json.dumps(as_lists(obj), indent=2, sort_keys=True)
+
+
+def test_writer_refuses_what_json_refuses():
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps(object())
+    assert str(stdlib.value) == "Object of type object is not JSON serializable"
+    with pytest.raises(TypeError, match=f"^{re.escape(str(stdlib.value))}$"):
+        "".join(_iterjson(object()))
 
 
 def test_writer_emits_null_for_non_finite():

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import logging
-import re
 import tracemalloc
 
 import numpy as np
@@ -15,14 +13,10 @@ from nbwalk import (
     ZeroDenominatorError, graph as graph_module, parse_edge_list, reversible_walk, validate,
 )
 
-from conftest import complete_graph
+from conftest import complete_graph, path_graph
 from oracles import from_edges_reference, graph_reference, laplacian, parse_edge_list_reference
 
 EQUIVALENCE_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
-
-
-def path_graph(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def dense_weights(walk):
@@ -47,12 +41,9 @@ def test_parse_one_based_duplicate_collapses():
     assert g.labels == range(1, 3)
 
 
-def test_parse_returns_the_duplicate_count_it_warns_of(caplog):
-    text = "0 1\n1 0\n1 2\n2 0\n0 2\n0 1\n"
-    with caplog.at_level(logging.WARNING, logger="nbwalk.graph"):
-        g, duplicates = parse_edge_list(text, return_duplicates=True)
+def test_parse_returns_the_duplicate_count():
+    g, duplicates = parse_edge_list("0 1\n1 0\n1 2\n2 0\n0 2\n0 1\n", return_duplicates=True)
     assert (g.num_edges, duplicates) == (3, 3)
-    assert [r.getMessage() for r in caplog.records] == ["3 duplicate edges collapsed"]
     assert parse_edge_list("0 1\n1 2\n2 0\n", return_duplicates=True)[1] == 0
 
 
@@ -298,19 +289,10 @@ def outcome(build):
 
 
 def parsed(text, index_base, delimiter):
-    """``parse_edge_list`` as ``(n, edges, labels, duplicates)``; duplicates from its warning."""
-    records = []
-    handler = logging.Handler()
-    handler.emit = records.append
-    graph_module.logger.addHandler(handler)
-    try:
-        g = parse_edge_list(text, index_base=index_base, delimiter=delimiter)
-    finally:
-        graph_module.logger.removeHandler(handler)
-    counts = [int(re.fullmatch(r"(\d+) duplicate edges collapsed", r.getMessage()).group(1))
-              for r in records]
-    assert len(counts) <= 1 and counts != [0]
-    return g.n, g.edges, g.labels, sum(counts)
+    """``parse_edge_list`` as ``(n, edges, labels, duplicates)``."""
+    g, duplicates = parse_edge_list(text, index_base=index_base, delimiter=delimiter,
+                                    return_duplicates=True)
+    return g.n, g.edges, g.labels, duplicates
 
 
 # Tokens that Python's int() takes (signs, underscores, other digits, padding) and some it

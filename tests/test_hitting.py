@@ -13,7 +13,7 @@ from nbwalk import (
 )
 from nbwalk.hitting import _invert_lower
 
-from conftest import complete_graph, cycle_graph
+from conftest import complete_graph, cycle_graph, triangle_with_path
 from oracles import absorbing_hitting, eigen_hitting, gth_hitting, hitting_merw_adjacency
 
 
@@ -190,12 +190,6 @@ def test_walk_hitting_refuses_disconnected_support():
         ReversibleWalk(WalkKind.TURW, two_triangles, np.ones(6))
     with pytest.raises(NotConnectedError):
         walk_hitting(ReversibleWalk(WalkKind.TURW, two_triangles, np.ones(6)))
-
-
-def triangle_with_path(length):
-    """A triangle 0-1-2 with the pendant path 2-3-...-(length + 2)."""
-    edges = [(0, 1), (1, 2), (0, 2)] + [(i, i + 1) for i in range(2, length + 2)]
-    return Graph.from_edges(length + 3, edges)
 
 
 def _max_relative_gap(walk, t, targets):

@@ -16,11 +16,9 @@ from nbwalk import (
 from nbwalk.graph import MAX_DENSE_NODES, dense_on_arcs
 from nbwalk.nbcentrality import _m_operator
 
-from conftest import complete_graph, cycle_graph, dense_pair, ring_with_chord, star_with_chord
-
-
-def path_graph(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+from conftest import (
+    complete_graph, cycle_graph, dense_pair, path_graph, ring_with_chord, star_with_chord,
+)
 
 
 def theta_kappa(lengths):
@@ -42,6 +40,11 @@ def test_nb_matrix_single_edge_is_zero():
     b = build_nb_matrix(Graph.from_edges(2, [(0, 1)]))
     assert b.shape == (2, 2)
     assert not np.any(b)
+
+
+def test_nb_matrix_refuses_a_graph_without_edges():
+    with pytest.raises(InvalidParamsError, match="graph has no edges"):
+        build_nb_matrix(Graph(1, []))
 
 
 def test_nb_matrix_triangle():

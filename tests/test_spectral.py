@@ -11,12 +11,10 @@ from nbwalk import (
 )
 from nbwalk.nbcentrality import _adj_matvec, _m_operator
 
-from conftest import complete_graph, cycle_graph, dense_pair, ring_with_chord, star_with_chord
+from conftest import (
+    complete_graph, cycle_graph, dense_pair, ring_with_chord, star_graph, star_with_chord,
+)
 from oracles import laplacian
-
-
-def star_graph(leaves):
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def test_sym_eig_two_by_two():
@@ -51,6 +49,11 @@ def test_sym_eig_residual_per_pair():
 def test_sym_eig_rejects_asymmetric():
     with pytest.raises(InvalidParamsError):
         sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_sym_eig_rejects_non_square():
+    with pytest.raises(InvalidParamsError, match="sym_eig needs a square matrix"):
+        sym_eig(np.zeros((2, 3)))
 
 
 def test_sym_eig_trace_identity():

@@ -6,17 +6,13 @@ import numpy as np
 import pytest
 
 from nbwalk import (
-    Graph, NotConnectedError, RoseSpec, TreeGraphError, WalkKind, ZeroDenominatorError,
-    detailed_balance_residual, gen_ba, ipr, make_rose, nb_centrality, stationary_closed,
-    stationary_generic, transition,
+    Graph, InvalidParamsError, NotConnectedError, RoseSpec, TreeGraphError, WalkKind,
+    ZeroDenominatorError, detailed_balance_residual, gen_ba, ipr, make_rose, nb_centrality,
+    stationary_closed, stationary_generic, transition,
 )
 
-from conftest import complete_graph, cycle_graph, star_with_chord
+from conftest import complete_graph, cycle_graph, star_graph, star_with_chord
 from oracles import stationary_nbcrw_formula
-
-
-def star_graph(leaves):
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def test_turw_triangle():
@@ -154,6 +150,13 @@ def test_stationary_generic_matches_closed_rose():
     generic = stationary_generic(transition(WalkKind.NBCRW, g)).pi
     assert np.max(np.abs(closed - generic)) <= 1e-10
     assert generic.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stationary_generic_refuses_a_large_residual(monkeypatch):
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+    with pytest.raises(InvalidParamsError, match="stationary solve residual 1.250e-06 too large"):
+        stationary_generic(transition(WalkKind.TURW, make_rose(RoseSpec(m=2))))
 
 
 def test_stationary_merw_star():
