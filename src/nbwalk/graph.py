@@ -69,10 +69,11 @@ class Graph:
     sequence of (u, v) pairs or an (E, 2) integer array, strictly increasing
     with u < v; it is checked and kept as one read-only int64 array,
     ``edge_array``, and read back as the tuple ``edges`` of int pairs.
-    ``edges``, ``arcs``, ``degrees`` and ``connected`` are computed once, on
-    first use, and the walks, the validation and the NB operators read the
-    graph from them.  ``adjacency`` builds a fresh dense matrix on every
-    access, for the dense eigensolves and the oracles only.
+    ``edges``, ``arcs``, ``degrees``, ``connected``, ``reduction`` and
+    ``kernel`` are computed once, on first use, and the walks, the
+    validation and the NB operators read the graph from them.
+    ``adjacency`` builds a fresh dense matrix on every access, for the dense
+    eigensolves and the oracles only.
     """
 
     def __init__(self, n, edges, labels=None):
@@ -148,6 +149,16 @@ class Graph:
     def connected(self):
         """Whether every node is reached from node 0: one DFS per graph, however many readers."""
         return reaches_all(self.n, *self.arcs)
+
+    @cached_property
+    def reduction(self):
+        """The 1-shell peel and the 2-core degrees (a :class:`Reduction`, computed once)."""
+        return peel(self.n, *self.arcs, self.degrees)
+
+    @cached_property
+    def kernel(self):
+        """The 2-core with each chain folded into one arc (a :class:`Kernel`, computed once)."""
+        return contract(self.n, *self.arcs, self.reduction.core_degrees)
 
     @staticmethod
     def from_edges(n, edges, labels=None):
@@ -298,6 +309,146 @@ def reaches_all(n, src, dst):
             seen[u] = True
             stack += dst[lo[u]:hi[u]]
     return all(seen)
+
+
+def _ranges(starts, counts):
+    """The index ranges ``starts[i] : starts[i] + counts[i]``, concatenated in order."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + counts, counts) + np.arange(total)
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@dataclass(frozen=True, eq=False)
+class Reduction:
+    """The 1-shell peel of a graph and the degrees of what it leaves, the 2-core.
+
+    Nodes of degree 1 are stripped in rounds until none is left.  ``peeled``
+    lists the stripped nodes in peel order and ``parent`` the one neighbour
+    each still had when it went, so a node's children all go in earlier
+    rounds; round r is ``peeled[rounds[r]:rounds[r + 1]]``.
+    ``core_degrees`` is each node's degree in the 2-core, 0 for a peeled
+    node.  Where a tree's last edge would strip both its ends, the larger
+    stays, with core degree 0, as the tree's root.  ``kernel_edges`` is
+    E_k = E_core − n₂, where n₂ counts the core nodes of core degree 2: each
+    folds its two edges into one, so on a connected graph that is neither a
+    tree nor a cycle E_k is the number of chains of :class:`Kernel`.
+    """
+
+    peeled: np.ndarray
+    parent: np.ndarray
+    rounds: np.ndarray
+    core_degrees: np.ndarray
+    kernel_edges: int
+
+    def levels(self):
+        """The (nodes, parents) of each round, in peel order: leaves first."""
+        ends = self.rounds.tolist()
+        return [(self.peeled[a:b], self.parent[a:b]) for a, b in zip(ends, ends[1:])]
+
+
+def peel(n, src, dst, degrees):
+    """The :class:`Reduction` of the graph with ``degrees`` and the arcs src -> dst, sorted by src.
+
+    Each round strips every node of degree 1 at once and reads the out-arcs
+    of those nodes only, so the whole peel reads each arc at most once:
+    O(N + E), in one round per level of the deepest pendant tree.  A graph
+    with no node of degree 1 costs a few passes over its degrees.
+    """
+    deg = degrees.copy()
+    frontier = np.flatnonzero(deg == 1)
+    peeled, parent, rounds = [], [], [0]
+    if frontier.size:
+        alive = np.ones(n, dtype=bool)
+        start = np.cumsum(degrees) - degrees
+    while frontier.size:
+        arcs = _ranges(start[frontier], degrees[frontier])
+        arcs = arcs[alive[dst[arcs]]]
+        nodes, up = src[arcs], dst[arcs]
+        keep = (deg[up] != 1) | (nodes < up)  # of a tree's last edge, the smaller end goes
+        nodes, up = nodes[keep], up[keep]
+        alive[nodes] = False
+        deg[nodes] = 0
+        np.subtract.at(deg, up, 1)
+        peeled.append(nodes)
+        parent.append(up)
+        rounds.append(rounds[-1] + nodes.size)
+        frontier = np.unique(up[deg[up] == 1])
+    empty = np.empty(0, dtype=np.intp)
+    peeled = np.concatenate(peeled) if peeled else empty
+    parent = np.concatenate(parent) if parent else empty
+    core_edges = src.size // 2 - peeled.size
+    return Reduction(*_frozen(peeled, parent, np.array(rounds), deg),
+                     kernel_edges=core_edges - int(np.count_nonzero(deg == 2)))
+
+
+@dataclass(frozen=True, eq=False)
+class Kernel:
+    """The 2-core with each chain folded into one arc: the graph's kernel multigraph.
+
+    A chain is a maximal path whose inner nodes have core degree 2, between
+    branch nodes (core degree 3 or more), possibly one and the same.  Taken
+    each way, a chain is one kernel arc.  ``branch`` lists the branch nodes;
+    kernel arc e runs from ``branch[tail[e]]`` to ``branch[head[e]]`` over
+    ``length[e]`` edges, ``reverse[e]`` is the same chain taken the other
+    way, and the kernel arcs ascend by tail.  ``core_arcs`` gives the
+    positions in ``g.arcs`` of the arcs between core nodes.  Each lies on the
+    kernel arc ``on`` in its own direction, with ``to_end`` arcs after it
+    there: chain e's arcs, in order, are those with ``on == e`` by
+    decreasing ``to_end``, from ``length[e] - 1`` to 0, and their heads are
+    its inner nodes and then its head.
+    """
+
+    branch: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
+    length: np.ndarray
+    reverse: np.ndarray
+    core_arcs: np.ndarray
+    on: np.ndarray
+    to_end: np.ndarray
+
+
+def contract(n, src, dst, core_degrees):
+    """The :class:`Kernel` from the arcs src -> dst, sorted by src, and the 2-core's degrees.
+
+    Each core arc into a node of core degree 2 is followed by the one arc out
+    of that node that does not turn back.  Pointer doubling (Wyllie's list
+    ranking) then finds each arc's last arc and its distance to it in
+    ⌈log₂ ℓ_max⌉ + 1 passes over the core arcs, with no loop over nodes.  A
+    2-core component with no branch node (a cycle) has no chain end, and is
+    refused.
+    """
+    cd = core_degrees
+    core = np.flatnonzero((cd[src] > 0) & (cd[dst] > 0))
+    s, t = src[core], dst[core]
+    rev = np.searchsorted(s * n + t, t * n + s)  # the core arcs keep g.arcs' (src, dst) order
+    inner = cd[t] == 2
+    # The two core arcs out of a node of core degree 2 are adjacent, from cumsum(cd) - cd on.
+    nxt = np.where(inner, 2 * (np.cumsum(cd) - cd)[t] + 1 - rev, np.arange(core.size))
+    to_end = inner.astype(np.intp)
+    for _ in range(core.size.bit_length()):
+        ahead = nxt[nxt]
+        if np.array_equal(ahead, nxt):
+            break
+        to_end += to_end[nxt]
+        nxt = ahead
+    if not np.array_equal(nxt[nxt], nxt):
+        raise InvalidParamsError("a cycle of the 2-core has no branch node")
+    branch = np.flatnonzero(cd >= 3)
+    index = np.zeros(n, dtype=np.intp)
+    index[branch] = np.arange(branch.size)
+    firsts = np.flatnonzero(cd[s] >= 3)  # each kernel arc is numbered by its first arc
+    on = np.empty(core.size, dtype=np.intp)
+    on[nxt[firsts]] = np.arange(firsts.size)
+    on = on[nxt]
+    return Kernel(*_frozen(branch, index[s[firsts]], index[t[nxt[firsts]]], to_end[firsts] + 1,
+                           on[rev[firsts]], core, on, to_end))
 
 
 def validate(g):

@@ -1,14 +1,15 @@
-"""Non-backtracking matrix, its 2Nx2N reduction, and node centralities."""
+"""Non-backtracking matrix, its 2Nx2N reduction, its kernel contraction, and node centralities."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceFailureError, InvalidParamsError, NotConnectedError, TreeGraphError
-from .graph import dense_on_arcs, validate
-from .spectral import TOL, lanczos_leading, leading_eig
+from .graph import _ranges, dense_on_arcs, validate
+from .spectral import TOL, LeadingEigenpair, _rayleigh, lanczos_leading, leading_eig
 
 # The explicit B takes (2E)^2 doubles, so verify_b_vs_m refuses larger graphs.
 MAX_DIRECTED_EDGES = 400
@@ -20,9 +21,12 @@ class NbCentrality:
 
     Normalization: the stacked vector (x | x/kappa) has unit 2-norm.  The
     solver diagnostics say how the pair was obtained: ``path`` is "power"
-    (power iteration on M), "dense" (the dense eigensolve fallback) or
-    "unicyclic" (the closed form x = 1 for E == N); ``iterations`` counts
-    power steps.  Kappa is always the quadratic-identity root of x.
+    (power iteration on M), "kernel" (Newton's method on the contracted
+    kernel, where 2 E_k <= N; tree and chain entries of x are then exact),
+    "dense" (a dense eigensolve fallback on either route) or "unicyclic"
+    (the closed form x = 1 for E == N); ``iterations`` counts power steps,
+    on M or, summed over the Newton steps, on the kernel.  Kappa is always
+    the quadratic-identity root of x.
     """
 
     kappa: float
@@ -66,13 +70,45 @@ def _adj_matvec(g, v):
 
 
 def eigenvector_centrality(g):
-    """Leading adjacency eigenpair (lambda_1, psi_1) by Lanczos on ``v -> A v``.
+    """Leading adjacency eigenpair (lambda_1, psi_1) by Lanczos on ``v -> A v``, exact on trees.
 
     A :class:`LeadingEigenpair` with ``path="lanczos"``; no N×N array is
-    formed.  Like the adjacency eigenvector of MERW, it checks no
+    formed.  Lanczos is accurate in absolute terms only, so deep in a pendant
+    tree its entries are noise of either sign.  On a connected graph every
+    peeled node c of ``g.reduction`` has psi_c = r_c psi_parent, where
+    lambda psi_c = psi_parent + sum of psi over c's children gives
+    r_c = 1 / (lambda - sum of the children's r), taken from the leaves
+    inward.  Where lambda r_c <= 2 the denominator is at least lambda / 2,
+    so it cancels no digits and amplifies no error of the children's r;
+    such a node, when all its children are such nodes, takes
+    r_c psi_parent, outward from the 2-core.  Every other node keeps its
+    Lanczos entry: its subtree holds psi's mass, where Lanczos is accurate.
+    The vector is renormalised and reported with its Rayleigh quotient and
+    residual.  Like the adjacency eigenvector of MERW, it checks no
     connectivity: ``cmd_centrality`` runs ``nb_centrality`` first.
     """
-    return lanczos_leading(lambda v: _adj_matvec(g, v), size=g.n)
+    def apply(v):
+        return _adj_matvec(g, v)
+
+    pair = lanczos_leading(apply, size=g.n)
+    red = g.reduction
+    if not red.peeled.size or not g.connected:
+        return pair
+    lam, psi = pair.value, pair.vector.copy()
+    ratio, below, exact = np.ones(g.n), np.zeros(g.n), np.ones(g.n, dtype=bool)
+    rounds = red.levels()
+    for nodes, parents in rounds:
+        margin = lam - below[nodes]
+        exact[nodes] &= margin >= 0.5 * lam
+        ratio[nodes] = 1.0 / np.where(exact[nodes], margin, 1.0)
+        np.add.at(below, parents, ratio[nodes])
+        exact[parents[~exact[nodes]]] = False
+    for nodes, parents in reversed(rounds):
+        psi[nodes] = np.where(exact[nodes], ratio[nodes] * psi[parents], psi[nodes])
+    psi /= np.linalg.norm(psi)
+    value, residual = _rayleigh(apply, psi)
+    return LeadingEigenpair(value=value, vector=psi, residual=residual,
+                            iterations=pair.iterations, path=pair.path)
 
 
 def _m_operator(g):
@@ -121,17 +157,93 @@ def _kappa_of(g, x):
     return (qb + np.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0))) / (2.0 * qa)
 
 
+# Newton steps on log rho(B~(e^t)) = 0 before the kernel route gives up to the residual gate.
+MAX_NEWTON = 64
+
+
+def _kernel_operator(k, t):
+    """The arc weights e^(-t l), ``V -> B~(e^t) V`` on the kernel arcs, and its dense thunk.
+
+    (B~(z) V)_e = sum of z^-l_f V_f over the kernel arcs f out of e's head,
+    less the term of f = reverse(e): one ``np.bincount`` over the kernel arcs.
+    """
+    size = k.tail.size
+    weights = np.exp(-t * k.length)
+
+    def apply(v):
+        wv = weights * v
+        return np.bincount(k.tail, weights=wv, minlength=k.branch.size)[k.head] - wv[k.reverse]
+
+    def dense():
+        # Row e holds the arcs out of its head, a block of the tail-sorted arcs, less reverse(e).
+        out = np.bincount(k.tail, minlength=k.branch.size)
+        start = np.cumsum(out) - out
+        rows = np.repeat(np.arange(size), out[k.head])
+        cols = _ranges(start[k.head], out[k.head])
+        keep = cols != k.reverse[rows]
+        return dense_on_arcs(size, rows[keep], cols[keep], weights[cols[keep]],
+                             "the contracted non-backtracking matrix")
+
+    return weights, apply, dense
+
+
+def _kernel_solve(g):
+    """x, path and power steps from the kernel: kappa is the root of rho(B~(kappa)) = 1.
+
+    B~(z) is the kernel's non-backtracking matrix with each arc f weighted
+    z^-l_f, and V its Perron vector, the value of the B eigenvector on each
+    chain's last arc.  log rho(B~(e^t)) is convex and decreasing in t
+    (Kingman 1961), so Newton's method from t = 0 climbs to the root without
+    overshooting it.  Its slope is -sum(l u V) / sum(u V) for the left
+    Perron vector u_e = z^-l_e V_reverse(e), and rho is the two-sided
+    Rayleigh quotient u B~ V / u V, second-order in the error of V.  The
+    certified V then takes 8 more steps on B~ + I, each of which shrinks its
+    other components as leading_eig's own steps do.  The arc j steps before
+    a chain's end takes z^-j V of that chain, so nothing overflows; x sums
+    each node's out-arcs, and a peeled node takes x_parent / z, outward from
+    the core.
+    """
+    k = g.kernel
+    t, path, steps = 0.0, "kernel", 0
+    for _ in range(MAX_NEWTON):
+        weights, apply, dense = _kernel_operator(k, t)
+        pair = leading_eig(apply, size=k.tail.size, dense=dense)
+        steps += pair.iterations
+        if pair.path == "dense":
+            path = "dense"
+        v = pair.vector
+        u = weights * v[k.reverse]
+        uv = float(u @ v)
+        log_rho = math.log(float(u @ apply(v)) / uv)
+        step = log_rho * uv / float(u @ (k.length * v))
+        if step <= 2.0**-50 * t:  # below rounding, or not upward: the climb is over
+            break
+        t += step
+    for _ in range(8):
+        v = apply(v) + v
+        v /= math.sqrt(v @ v)
+    steps += 8
+    src = g.arcs[0][k.core_arcs]
+    x = np.bincount(src, weights=np.exp(-t * k.to_end) * v[k.on], minlength=g.n)
+    z = math.exp(t)
+    for nodes, parents in reversed(g.reduction.levels()):
+        x[nodes] = x[parents] / z
+    return x, path, steps
+
+
 def nb_centrality(g):
-    """Kappa and centralities via the leading eigenpair of the M matrix.
+    """Kappa and centralities via the leading eigenpair of the M matrix or of the kernel.
 
     Requires a connected non-tree graph; otherwise kappa would be zero and
     the transition construction downstream is undefined.  A connected
     non-tree graph has exactly one cycle iff E == N; then the eigen-equation
     at kappa = 1 reduces to (A - D) x = 0, whose kernel on a connected graph
-    is the constant vector, so x = 1.  Otherwise x is the top block of the
-    leading eigenpair of M from power iteration on the edge-list operator.
-    Either way kappa is :func:`_kappa_of` x, and the pair is gated on the
-    reduced eigen-equation.
+    is the constant vector, so x = 1.  Where the kernel has at most N arcs
+    (2 E_k <= N), x comes exactly from the kernel's Perron vector
+    (:func:`_kernel_solve`).  Otherwise x is the top block of the leading
+    eigenpair of M from power iteration on the edge-list operator.  Either
+    way kappa is :func:`_kappa_of` x, and the pair is gated on the reduced
+    eigen-equation.
     """
     flags = validate(g)
     if not flags.connected:
@@ -141,6 +253,8 @@ def nb_centrality(g):
     n = g.n
     if g.num_edges == n:
         x, path, iterations = np.ones(n), "unicyclic", 0
+    elif 2 * g.reduction.kernel_edges <= n:
+        x, path, iterations = _kernel_solve(g)
     else:
         pair = leading_eig(_m_operator(g), size=2 * n, dense=lambda: build_m_matrix(g))
         # leading_eig makes the largest entry positive, and for kappa > 1 it is
@@ -163,10 +277,11 @@ def nb_centrality(g):
 
 
 def verify_b_vs_m(g):
-    """Cross-check: leading eigenvalue of explicit B vs the M reduction.
+    """Cross-check: leading eigenvalue of explicit B vs that of :func:`nb_centrality`.
 
-    The M side is :func:`nb_centrality`, so trees, disconnected graphs and
-    a failed residual gate are refused before B is built.  The explicit-B
+    The ``kappa_m`` side is :func:`nb_centrality`, on M or on the kernel, so
+    trees, disconnected graphs and a failed residual gate are refused before
+    B is built.  The explicit-B
     side is quadratic in 2E memory, so ``MAX_DIRECTED_EDGES`` caps it.
     """
     if 2 * g.num_edges > MAX_DIRECTED_EDGES:

@@ -79,20 +79,24 @@ def leading_eig(apply, size, dense):
     M (the dense M on the fallback); the fallback's pair is reported
     uncertified.  The vector's largest-magnitude entry is positive.
 
-    The unit shift serves both operators iterated here, the reduced 2Nx2N M
-    and the explicit non-backtracking B.  M's eigenvalues are eigenvalues of
-    B (Ihara-Bass; B adds only +-1), and every eigenvalue of B has
-    |lambda| <= kappa, so |lambda + 1| < kappa + 1 for every lambda other
-    than kappa itself: the target is strictly dominant whenever kappa > 1.
-    (kappa = 1 is the unicyclic case, which ``nb_centrality`` solves in
-    closed form.)  A shift s contracts the iteration by max |lambda + s| /
+    The unit shift serves the three operators iterated here: the reduced
+    2Nx2N M, the explicit non-backtracking B and the kernel's weighted
+    B~(z).  M's eigenvalues are eigenvalues of B (Ihara-Bass; B adds only
+    +-1), and every eigenvalue of B has |lambda| <= kappa, so
+    |lambda + 1| < kappa + 1 for every lambda other than kappa itself: the
+    target is strictly dominant whenever kappa > 1.  (kappa = 1 is the
+    unicyclic case, which ``nb_centrality`` solves in closed form.)  B~(z) is
+    nonnegative and irreducible, so by Perron-Frobenius its every other
+    eigenvalue has |lambda| <= rho, and |lambda + 1| < rho + 1 in the same
+    way; that covers periodic kernels too, such as the theta graph's, where
+    -rho is an eigenvalue.  A shift s contracts the iteration by max |lambda + s| /
     (kappa + s) over the other eigenvalues; for those near the unit circle or
     inside |lambda| <= sqrt(kappa), where most of them lie on sparse graphs,
     that ratio grows with s, so the smallest safe shift is used.  The start
     vector has a component along the Perron vector, which each step scales
-    by kappa + 1 > 0, so the iterate never vanishes.  B >= 0, so no other
-    eigenvalue of either operator has real part kappa or more: the dense
-    fallback's rule picks the Perron root.
+    by kappa + 1 > 0, so the iterate never vanishes.  B >= 0 and B~ >= 0, so
+    no other eigenvalue of any of the three operators has real part at or
+    above the Perron root: the dense fallback's rule picks it.
     """
     v = _start_vector(size)
     for it in range(8, 100 * size + 8, 8):  # the residual is checked every 8 steps

@@ -29,6 +29,12 @@ def triangle_with_path(length):
     return Graph.from_edges(length + 3, edges)
 
 
+def k_with_path(k, length):
+    """K_k with a pendant path of ``length`` nodes hung off node k - 1."""
+    path = [(i, i + 1) for i in range(k - 1, k - 1 + length)]
+    return Graph.from_edges(k + length, [(i, j) for i in range(k) for j in range(i + 1, k)] + path)
+
+
 def ring_with_chord(n):
     """Ring on n nodes (n even) plus the chord (0, n/2).
 

@@ -1,5 +1,6 @@
 """The paper's formulas, the per-target absorbing solves, GTH elimination, the ER, BA and WS
-generators and the per-line edge-list parser, as test oracles.
+generators, the per-line edge-list parser and a leaf-by-leaf peel and chain walk, as test
+oracles.
 
 None of these is a production path: the library computes every walk from one
 reversible-walk kernel and parses with array operations, and the tests hold
@@ -273,3 +274,44 @@ def eigen_hitting(walk):
     t_partial = n / (n - 1.0) * (gdiag - alpha)
     t_global = total / (n - 1.0) * float(np.sum(1.0 / sigma))
     return HittingReport(kind=walk.kind, t=t, t_partial=t_partial, t_global=t_global)
+
+
+def reduction_reference(g):
+    """The 1-shell, the 2-core degrees and the chains, one node and one step at a time.
+
+    Strips one degree-1 node at a time from a work list, recording the
+    neighbour it still has, then walks from each branch node (core degree 3
+    or more) along each core edge through the nodes of core degree 2 until
+    it meets a branch node again.  Returns ``(parent, core_degrees, chains)``:
+    ``parent`` maps each peeled node to that neighbour, and ``chains`` is the
+    sorted list of node tuples (tail, inner nodes..., head), one per chain
+    and direction.  For a connected graph that is neither a tree nor a cycle.
+    """
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    stack = [u for u in range(g.n) if len(nbrs[u]) == 1]
+    parent = {}
+    while stack:
+        u = stack.pop()
+        if len(nbrs[u]) != 1:
+            continue
+        (p,) = nbrs[u]
+        parent[u] = p
+        nbrs[u].clear()
+        nbrs[p].discard(u)
+        if len(nbrs[p]) == 1:
+            stack.append(p)
+    core_degrees = [len(s) for s in nbrs]
+    chains = []
+    for b in range(g.n):
+        if core_degrees[b] < 3:
+            continue
+        for first in sorted(nbrs[b]):
+            walk = [b, first]
+            while core_degrees[walk[-1]] == 2:
+                (nxt,) = nbrs[walk[-1]] - {walk[-2]}
+                walk.append(nxt)
+            chains.append(tuple(walk))
+    return parent, core_degrees, sorted(chains)

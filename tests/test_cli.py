@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from nbwalk import InvalidParamsError
 from nbwalk.cli import COMMANDS, EXIT_STDOUT_CLOSED, WRITE_BLOCK, _iterjson, build_parser, main
 
-from conftest import triangle_with_path
+from conftest import k_with_path, triangle_with_path
 
 
 def run_json(capsys, argv):
@@ -72,7 +72,7 @@ def test_centrality_rose(tmp_path, capsys):
     assert len(out["x"]) == 7
     assert out["degrees"][0] == 4
     assert len(out["eigenvector_centrality"]) == 7
-    assert out["solver"]["path"] == "power"
+    assert out["solver"]["path"] == "kernel"  # two loops of length 4 at the hub
     assert out["solver"]["iterations"] > 0
     assert set(out["solver"]) == {"path", "iterations"}
     # psi_1 of two 4-cycles on a hub (lambda_1 = sqrt(6)): hub 1/sqrt(3), the
@@ -92,6 +92,8 @@ def test_centrality_k4_uniform(tmp_path, capsys):
     out = run_json(capsys, ["centrality", k4_file(tmp_path)])
     assert out["kappa"] == pytest.approx(2.0, abs=1e-9)
     assert max(out["x"]) - min(out["x"]) <= 1e-9
+    assert out["solver"]["path"] == "power"  # K4 is its own kernel, 2E_k = 12 > N = 4
+    assert out["solver"]["iterations"] > 0
 
 
 def test_centrality_tree_exit_code(tmp_path, capsys):
@@ -152,6 +154,19 @@ def test_numerically_singular_laplacian_is_ill_conditioned(tmp_path, capsys, len
 def test_other_walks_on_the_long_path_succeed(tmp_path, capsys, walk):
     out = run_json(capsys, ["hitting", triangle_with_path_file(tmp_path, 80), "--walk", walk])
     assert len(out["reports"][0]["t_partial"]) == 83
+
+
+def test_nbcrw_on_a_deep_pendant_path(tmp_path, capsys):
+    # K4 with a 120-node pendant path takes the kernel route, so x is exact and
+    # positive down to 2^-120 of the core: the walk builds, but its strengths
+    # span far more than 2^53 and hitting times are refused.
+    edges = "".join(f"{u} {v}\n" for u, v in k_with_path(4, 120).edges)
+    path = write_graph(tmp_path, "k4path.txt", edges)
+    out = run_json(capsys, ["stationary", path, "--walk", "nbcrw"])
+    assert min(out["reports"][0]["pi"]) > 0
+    code = main(["hitting", path, "--walk", "nbcrw"])
+    assert code == 7
+    assert json.loads(capsys.readouterr().err)["error"] == "ill_conditioned"
 
 
 GRAPH_COMMANDS = {
@@ -687,14 +702,6 @@ def test_help_exits_zero_and_lists_no_tolerance(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "--threads" not in out and "--tol" not in out
-
-
-def test_numeric_round_trip_precision(tmp_path, capsys):
-    code = main(["--format", "csv", "stationary", rose2_file(tmp_path), "--walk", "nbcrw"])
-    captured = capsys.readouterr()
-    assert code == 0
-    value = captured.out.strip().splitlines()[2].split(",")[2]
-    assert float(value) == float(format(float(value), ".17g"))
 
 
 # Finite floats, with the edge cases of float repr drawn explicitly.

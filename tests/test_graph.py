@@ -13,8 +13,11 @@ from nbwalk import (
     ZeroDenominatorError, graph as graph_module, parse_edge_list, reversible_walk, validate,
 )
 
-from conftest import complete_graph, path_graph
-from oracles import from_edges_reference, graph_reference, laplacian, parse_edge_list_reference
+from conftest import complete_graph, path_graph, ring_with_chord, triangle_with_path
+from oracles import (
+    from_edges_reference, graph_reference, laplacian, parse_edge_list_reference,
+    reduction_reference,
+)
 
 EQUIVALENCE_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -407,3 +410,64 @@ def test_parse_memory_stays_below_64_mib():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, peak
+
+
+def chains_with_trees(seed):
+    """Three chains of 3, 5 and 8 edges between nodes 0 and 1, plus a tree hung off every node."""
+    rng = np.random.default_rng(seed)
+    edges = [(0, 2), (2, 3), (3, 1), (0, 1)]
+    n = 4
+    for length in (5, 8):
+        nodes = [0, *range(n, n + length - 1), 1]
+        edges += zip(nodes, nodes[1:])
+        n += length - 1
+    for k in range(n, 3 * n):
+        edges.append((k, int(rng.integers(k))))
+    return Graph.from_edges(3 * n, edges)
+
+
+def kernel_chains(g):
+    """The kernel's chains as node tuples (tail, inner nodes..., head), sorted."""
+    k = g.kernel
+    src, dst = (a[k.core_arcs] for a in g.arcs)
+    chains = []
+    for e in range(k.tail.size):
+        arcs = np.flatnonzero(k.on == e)
+        arcs = arcs[np.argsort(-k.to_end[arcs])]
+        assert k.to_end[arcs].tolist() == list(range(k.length[e] - 1, -1, -1))
+        assert src[arcs[0]] == k.branch[k.tail[e]] and dst[arcs[-1]] == k.branch[k.head[e]]
+        chains.append((int(src[arcs[0]]), *dst[arcs].tolist()))
+    for e, r in enumerate(k.reverse.tolist()):
+        assert chains[r] == chains[e][::-1]
+    assert np.all(np.diff(k.tail) >= 0)
+    return sorted(chains)
+
+
+def test_reduction_and_kernel_match_the_peel_and_walk_reference(corpus):
+    extra = [("ring-chord-40", ring_with_chord(40)), ("triangle-path-30", triangle_with_path(30))]
+    extra += [(f"chains-trees-s{seed}", chains_with_trees(seed)) for seed in range(4)]
+    for name, g in corpus + extra:
+        parent, core_degrees, chains = reduction_reference(g)
+        red = g.reduction
+        assert red.core_degrees.tolist() == core_degrees, name
+        assert dict(zip(red.peeled.tolist(), red.parent.tolist())) == parent, name
+        assert red.peeled.size == len(parent), name
+        # Every node goes before its parent, in an earlier round.
+        when = np.full(g.n, len(red.rounds))
+        for r, (nodes, _) in enumerate(red.levels()):
+            when[nodes] = r
+        assert np.all(when[red.peeled] < when[red.parent]), name
+        assert 2 * red.kernel_edges == len(chains) or g.num_edges == g.n, name
+        if g.num_edges > g.n:
+            assert kernel_chains(g) == chains, name
+
+
+def test_reduction_of_a_tree_keeps_one_root():
+    red = path_graph(5).reduction
+    assert red.peeled.tolist() == [0, 4, 1, 3] and red.parent.tolist() == [1, 3, 2, 2]
+    assert red.rounds.tolist() == [0, 2, 4] and red.core_degrees.tolist() == [0] * 5
+
+
+def test_kernel_refuses_a_2_core_cycle():
+    with pytest.raises(InvalidParamsError, match="no branch node"):
+        triangle_with_path(4).kernel

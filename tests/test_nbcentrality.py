@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,11 +14,13 @@ from nbwalk import (
     gen_ba, gen_er, make_rose, nb_centrality, nbcentrality, reversible_walk, rose4_oracle,
     verify_b_vs_m,
 )
+from nbwalk import graph
 from nbwalk.graph import MAX_DENSE_NODES, dense_on_arcs
-from nbwalk.nbcentrality import _m_operator
+from nbwalk.nbcentrality import _adj_matvec, _m_operator
 
 from conftest import (
-    complete_graph, cycle_graph, dense_pair, path_graph, ring_with_chord, star_with_chord,
+    complete_graph, cycle_graph, dense_pair, k_with_path, path_graph, ring_with_chord,
+    star_with_chord, triangle_with_path,
 )
 
 
@@ -25,11 +28,14 @@ def theta_kappa(lengths):
     """NB leading eigenvalue of a theta graph with path lengths l_j.
 
     It is the root in (1, 2) of sum_j 1 / (1 + kappa^l_j) = 1, found by bisection.
+    kappa^l is taken as exp(l log kappa), and each term as exp(-s) / (1 + exp(-s))
+    with s = l log kappa >= 0, so no length overflows.
     """
     lo, hi = 1.0, 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if sum(1.0 / (1.0 + mid**l) for l in lengths) > 1.0:
+        decays = [math.exp(-l * math.log(mid)) for l in lengths]
+        if sum(d / (1.0 + d) for d in decays) > 1.0:
             lo = mid
         else:
             hi = mid
@@ -103,18 +109,19 @@ def test_m_operator_matches_dense_m(corpus):
 
 
 def test_solver_diagnostics():
-    power = nb_centrality(make_rose(RoseSpec(m=3)))
+    # K5's kernel is itself, 2E_k = 20 > N = 5, so it stays on power iteration.
+    power = nb_centrality(complete_graph(5))
     assert power.path == "power" and power.iterations > 0
     unicyclic = nb_centrality(cycle_graph(6))
     assert (unicyclic.path, unicyclic.iterations, unicyclic.kappa) == ("unicyclic", 0, 1.0)
     # A long ring with one chord has its leading eigenvalue close to the rest
-    # of the spectrum, so power iteration exhausts its 100 steps per dimension
-    # (with the unit shift, rings of 160 and 200 nodes still converge; every
-    # even size from 204 to 260 tried in steps of 4 does not).
+    # of M's spectrum, so power iteration on M exhausts its 100 steps per
+    # dimension there (test_spectral covers that fallback on M itself).  Its
+    # kernel is two branch nodes and three chains, 2E_k = 6 <= N.
     g = ring_with_chord(240)
-    dense = nb_centrality(g)
-    assert dense.path == "dense" and dense.iterations == 100 * 2 * g.n
-    assert dense.kappa == pytest.approx(theta_kappa((120, 120, 1)), abs=1e-12)
+    kernel = nb_centrality(g)
+    assert kernel.path == "kernel" and 0 < kernel.iterations < 100 * 2 * g.n
+    assert kernel.kappa == pytest.approx(theta_kappa((120, 120, 1)), abs=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +160,40 @@ def test_eigenvector_centrality_memory_is_linear_in_edges(ba20000, monkeypatch):
     assert pair.residual <= 1e-12 * pair.value
     assert np.all(pair.vector > 0)
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("length", [5, 40, 80])
+def test_eigenvector_centrality_is_exact_on_pendant_trees(length):
+    # Lanczos is accurate only in absolute terms: on the 80-node path it put
+    # 9 entries below zero, the smallest -8.6e-15.  The ratio recursion over
+    # the peel leaves every tree node with a relative residual of rounding.
+    g = triangle_with_path(length)
+    pair = eigenvector_centrality(g)
+    psi = pair.vector
+    assert np.all(psi > 0)
+    tree = g.reduction.peeled
+    assert tree.size == length
+    relative = np.abs(_adj_matvec(g, psi) - pair.value * psi)[tree] / psi[tree]
+    assert np.max(relative) <= 1e-12
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-15)
+    assert pair.residual <= 1e-12 * pair.value
+
+
+@pytest.mark.parametrize("length", [5, 15, 30])
+def test_eigenvector_centrality_keeps_lanczos_where_the_tree_holds_the_mass(length):
+    # A 100-leaf star at the end of a pendant path holds psi's mass, and psi
+    # falls by about lambda = 10 per step toward the triangle.  The ratio
+    # recursion would cancel every digit at the star's hub, so the path and
+    # the hub keep their Lanczos entries; the leaves still take r psi_hub.
+    edges = [(0, 1), (1, 2), (0, 2)] + [(i, i + 1) for i in range(2, length + 2)]
+    hub = length + 2
+    g = Graph.from_edges(hub + 101, edges + [(hub, hub + 1 + j) for j in range(100)])
+    pair = eigenvector_centrality(g)
+    reference = np.abs(np.linalg.eigh(g.adjacency)[1][:, -1])
+    assert np.max(np.abs(pair.vector - reference)) <= 1e-14
+    assert pair.residual <= 1e-12 * pair.value
+    leaves = pair.vector[hub + 1:]
+    assert np.max(np.abs(leaves * pair.value / pair.vector[hub] - 1.0)) <= 1e-14
 
 
 def test_m_matrix_is_the_only_large_array_it_makes():
@@ -316,15 +357,98 @@ def test_pendant_nodes_keep_positive_outgoing_centrality():
 
 
 def test_centrality_below_rounding_is_wiped_to_zero():
-    # Along a 120-node path hanging off K4 (kappa = 2) the outgoing
-    # centrality halves at every step, so deep in the path it falls below
-    # rounding and the power iterate carries sign noise there.
-    path = [(k, k + 1) for k in range(3, 123)]
-    g = Graph.from_edges(124, [(i, j) for i in range(4) for j in range(i + 1, 4)] + path)
+    # Along a 120-node path hanging off K16 (kappa = 14) the outgoing
+    # centrality falls by 14 at every step, so deep in the path it falls
+    # below rounding and the power iterate carries sign noise there.  The
+    # kernel is K16 itself, 2E_k = 240 > N = 136: the power route.
+    g = k_with_path(16, 120)
     nc = nb_centrality(g)
     assert nc.path == "power"
     assert np.all(nc.x >= 0) and np.all(nc.y >= 0)
-    assert np.all(nc.x[:30] > 0) and np.count_nonzero(nc.x == 0) > 0
+    assert np.all(nc.x[:20] > 0) and np.count_nonzero(nc.x == 0) > 0
+
+
+def test_pendant_tree_centrality_is_exact_on_the_kernel_route():
+    # K4 with the same path: 2E_k = 12 <= N = 124, so x comes from the
+    # kernel, and each path node takes its parent's x / kappa, exactly.
+    g = k_with_path(4, 120)
+    nc = nb_centrality(g)
+    assert nc.path == "kernel" and nc.kappa == pytest.approx(2.0, rel=1e-14)
+    assert np.all(nc.x > 0) and np.all(nc.y >= 0)
+    steps = nc.x[4:] / nc.x[3:-1]
+    assert np.max(np.abs(steps * nc.kappa - 1.0)) <= 1e-15
+
+
+def theta_graph(lengths):
+    """Branch nodes 0 and 1 joined by internally disjoint paths of the given edge counts."""
+    edges, n = [], 2
+    for length in lengths:
+        inner = list(range(n, n + length - 1))
+        nodes = [0, *inner, 1]
+        edges += zip(nodes, nodes[1:])
+        n += length - 1
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("lengths", [(2, 3, 4), (30, 30, 1), (120, 120, 1), (1000, 1000, 3)])
+def test_theta_kappa_on_the_kernel_route(lengths):
+    nc = nb_centrality(theta_graph(lengths))
+    assert nc.path == "kernel"
+    expected = theta_kappa(lengths)
+    assert abs(nc.kappa - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("n, tol", [(240, 1e-12), (30000, 1e-10)])
+def test_ring_with_chord_needs_no_dense_array(n, tol, monkeypatch):
+    # The 30000-ring's M would take 100·2N power steps and then a dense
+    # 60000 × 60000 eigensolve; its kernel has 6 arcs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense array was built")
+
+    monkeypatch.setattr(graph, "dense_on_arcs", refuse)
+    monkeypatch.setattr(nbcentrality, "dense_on_arcs", refuse)
+    nc = nb_centrality(ring_with_chord(n))
+    assert nc.path == "kernel"
+    expected = theta_kappa((n // 2, n // 2, 1))
+    assert abs(nc.kappa - expected) <= tol * expected
+
+
+@pytest.mark.parametrize("g", [
+    theta_graph((2, 3, 4)), theta_graph((30, 30, 1)), make_rose(RoseSpec(m=5)), k_with_path(4, 10),
+    ring_with_chord(12), gen_ba(60, 2, 3),
+], ids=["theta-2-3-4", "theta-30-30-1", "rose-m5", "k4-path10", "ring-chord12", "ba60"])
+def test_kernel_operator_matches_its_dense_matrix(g):
+    # The dense thunk lists each continuation e -> f at a branch node; the
+    # product subtracts the backtracking term from the sum over the node.
+    k = g.kernel
+    rng = np.random.default_rng(5)
+    for t in (0.0, 0.3):
+        weights, apply, dense = nbcentrality._kernel_operator(k, t)
+        m = dense()
+        cont = (k.head[:, None] == k.tail[None, :]) & (k.reverse[:, None] != np.arange(k.tail.size))
+        assert np.array_equal(m, np.where(cont, weights[None, :], 0.0))
+        v = rng.standard_normal(k.tail.size)
+        assert np.max(np.abs(apply(v) - m @ v)) <= 1e-14 * max(1.0, np.max(np.abs(m @ v)))
+
+
+@pytest.mark.parametrize("m", [2, 3, 20, 80, 150, 300])
+def test_rose_centrality_is_exact_at_every_node(m):
+    # Each petal is one chain of length 4 at the hub, so the kernel is m loops
+    # and Newton's first step lands on kappa = (2m - 1)^(1/4).
+    oracle = rose4_oracle(m)
+    nc = nb_centrality(make_rose(RoseSpec(m=m)))
+    assert nc.path == "kernel"
+    expected = np.tile([oracle.x_int, oracle.x_int, oracle.x_per], m)
+    expected = np.concatenate([[oracle.x_hub], expected])
+    assert np.max(np.abs(nc.x / expected - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("g", [make_rose(RoseSpec(m=m)) for m in range(2, 51)]
+                         + [theta_graph((2, 3, 4))],
+                         ids=[f"rose-m{m}" for m in range(2, 51)] + ["theta-2-3-4"])
+def test_verify_b_vs_m_on_kernel_route_graphs(g):
+    assert nb_centrality(g).path == "kernel"
+    assert verify_b_vs_m(g)["max_gap"] <= 1e-8
 
 
 def test_verify_b_vs_m_triangle():

@@ -155,7 +155,9 @@ def test_reported_pair_is_the_certificate_of_its_vector(path):
         g = gen_ba(200, 2, 1)
         pair, apply = eigenvector_centrality(g), lambda v: _adj_matvec(g, v)
     else:
-        # The 240-ring with one chord exhausts power iteration (test_solver_diagnostics).
+        # Power iteration on the 240-ring's M exhausts its 100 steps per dimension and
+        # falls back to the dense M.  nb_centrality takes the kernel route on that
+        # graph, so this direct call is what covers the fallback.
         g = make_rose(RoseSpec(m=3)) if path == "power" else ring_with_chord(240)
         m = build_m_matrix(g)
         pair = leading_eig(_m_operator(g), size=2 * g.n, dense=lambda: m)
