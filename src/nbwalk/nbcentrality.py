@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailureError, InvalidParamsError, NotConnectedError, TreeGraphError
-from .graph import _ranges, dense_on_arcs, validate
+from .graph import dense_on_arcs, validate
 from .spectral import TOL, LeadingEigenpair, _rayleigh, lanczos_leading, leading_eig
 
 # The explicit B takes (2E)^2 doubles, so verify_b_vs_m refuses larger graphs.
@@ -25,8 +25,9 @@ class NbCentrality:
     kernel, where 2 E_k <= N; tree and chain entries of x are then exact),
     "dense" (a dense eigensolve fallback on either route) or "unicyclic"
     (the closed form x = 1 for E == N); ``iterations`` counts power steps,
-    on M or, summed over the Newton steps, on the kernel.  Kappa is always
-    the quadratic-identity root of x.
+    on M or, summed over the Newton steps, on the kernel.  Kappa is taken
+    where it is known: 1 on the unicyclic path, the Newton root z on the
+    kernel route, and the quadratic-identity root of x on the power route.
     """
 
     kappa: float
@@ -53,7 +54,11 @@ def build_m_matrix(g):
     """2Nx2N block matrix [[A, I-D], [I, 0]] sharing B's real spectrum.
 
     A is scattered from the arcs into the top-left block, then the diagonals
-    of I - D and I are set by index, so M is the only 2N×2N array made.
+    of I - D and I are set by index, so M is the only 2N×2N array made.  No
+    solver reads it: the power route iterates :func:`_m_operator`, and its
+    dense fallback forms M from that operator's columns.  It is kept as the
+    tests' independent reference for :func:`_m_operator`, and because the
+    benchmark tracer binds it by name.
     """
     n = g.n
     m = dense_on_arcs(2 * n, *g.arcs, 1.0, "the reduced non-backtracking matrix M")
@@ -147,7 +152,8 @@ def _kappa_of(g, x):
     second-order accurate in the error of x.  When E == N, kappa = 1 is a
     double root (M is defective there, and eigensolvers lose half the digits
     on the eigenvalue itself); the discriminant is then pure noise, so the
-    double root x.Ax / (2 x.x) is taken, which is exactly 1.0 at x = 1.
+    double root x.Ax / (2 x.x) is taken; ``nb_centrality`` sets kappa = 1
+    there itself, so that branch serves ``verify_b_vs_m``'s explicit-B side.
     """
     qa = float(x @ x)
     qb = float(x @ _adj_matvec(g, x))
@@ -162,33 +168,22 @@ MAX_NEWTON = 64
 
 
 def _kernel_operator(k, t):
-    """The arc weights e^(-t l), ``V -> B~(e^t) V`` on the kernel arcs, and its dense thunk.
+    """The arc weights e^(-t l) and ``V -> B~(e^t) V`` on the kernel arcs.
 
     (B~(z) V)_e = sum of z^-l_f V_f over the kernel arcs f out of e's head,
     less the term of f = reverse(e): one ``np.bincount`` over the kernel arcs.
     """
-    size = k.tail.size
     weights = np.exp(-t * k.length)
 
     def apply(v):
         wv = weights * v
         return np.bincount(k.tail, weights=wv, minlength=k.branch.size)[k.head] - wv[k.reverse]
 
-    def dense():
-        # Row e holds the arcs out of its head, a block of the tail-sorted arcs, less reverse(e).
-        out = np.bincount(k.tail, minlength=k.branch.size)
-        start = np.cumsum(out) - out
-        rows = np.repeat(np.arange(size), out[k.head])
-        cols = _ranges(start[k.head], out[k.head])
-        keep = cols != k.reverse[rows]
-        return dense_on_arcs(size, rows[keep], cols[keep], weights[cols[keep]],
-                             "the contracted non-backtracking matrix")
-
-    return weights, apply, dense
+    return weights, apply
 
 
 def _kernel_solve(g):
-    """x, path and power steps from the kernel: kappa is the root of rho(B~(kappa)) = 1.
+    """x, kappa, path and power steps from the kernel: kappa is the root of rho(B~(kappa)) = 1.
 
     B~(z) is the kernel's non-backtracking matrix with each arc f weighted
     z^-l_f, and V its Perron vector, the value of the B eigenvector on each
@@ -196,18 +191,19 @@ def _kernel_solve(g):
     (Kingman 1961), so Newton's method from t = 0 climbs to the root without
     overshooting it.  Its slope is -sum(l u V) / sum(u V) for the left
     Perron vector u_e = z^-l_e V_reverse(e), and rho is the two-sided
-    Rayleigh quotient u B~ V / u V, second-order in the error of V.  The
-    certified V then takes 8 more steps on B~ + I, each of which shrinks its
-    other components as leading_eig's own steps do.  The arc j steps before
-    a chain's end takes z^-j V of that chain, so nothing overflows; x sums
-    each node's out-arcs, and a peeled node takes x_parent / z, outward from
-    the core.
+    Rayleigh quotient u B~ V / u V, second-order in the error of V.  Kappa
+    is the last Newton iterate z = e^t itself, which no cancellation touches
+    as kappa -> 1.  The certified V then takes 8 more steps on B~ + I, each
+    of which shrinks its other components as leading_eig's own steps do.
+    The arc j steps before a chain's end takes z^-j V of that chain, so
+    nothing overflows; x sums each node's out-arcs, and a peeled node takes
+    x_parent / z, outward from the core.
     """
     k = g.kernel
     t, path, steps = 0.0, "kernel", 0
     for _ in range(MAX_NEWTON):
-        weights, apply, dense = _kernel_operator(k, t)
-        pair = leading_eig(apply, size=k.tail.size, dense=dense)
+        weights, apply = _kernel_operator(k, t)
+        pair = leading_eig(apply, size=k.tail.size)
         steps += pair.iterations
         if pair.path == "dense":
             path = "dense"
@@ -216,9 +212,9 @@ def _kernel_solve(g):
         uv = float(u @ v)
         log_rho = math.log(float(u @ apply(v)) / uv)
         step = log_rho * uv / float(u @ (k.length * v))
-        if step <= 2.0**-50 * t:  # below rounding, or not upward: the climb is over
-            break
         t += step
+        if step <= 2.0**-50 * t:  # below rounding, or back from a rounding overshoot: done
+            break
     for _ in range(8):
         v = apply(v) + v
         v /= math.sqrt(v @ v)
@@ -228,7 +224,7 @@ def _kernel_solve(g):
     z = math.exp(t)
     for nodes, parents in reversed(g.reduction.levels()):
         x[nodes] = x[parents] / z
-    return x, path, steps
+    return x, z, path, steps
 
 
 def nb_centrality(g):
@@ -241,9 +237,10 @@ def nb_centrality(g):
     is the constant vector, so x = 1.  Where the kernel has at most N arcs
     (2 E_k <= N), x comes exactly from the kernel's Perron vector
     (:func:`_kernel_solve`).  Otherwise x is the top block of the leading
-    eigenpair of M from power iteration on the edge-list operator.  Either
-    way kappa is :func:`_kappa_of` x, and the pair is gated on the reduced
-    eigen-equation.
+    eigenpair of M from power iteration on the edge-list operator.  Kappa
+    comes from the route: exactly 1 on the unicyclic one, the Newton root on
+    the kernel route and :func:`_kappa_of` x on the power route.  Every pair
+    is gated on the reduced eigen-equation.
     """
     flags = validate(g)
     if not flags.connected:
@@ -252,17 +249,16 @@ def nb_centrality(g):
         raise TreeGraphError("graph is a tree; non-backtracking eigenvalue is zero")
     n = g.n
     if g.num_edges == n:
-        x, path, iterations = np.ones(n), "unicyclic", 0
+        x, kappa, path, iterations = np.ones(n), 1.0, "unicyclic", 0
     elif 2 * g.reduction.kernel_edges <= n:
-        x, path, iterations = _kernel_solve(g)
+        x, kappa, path, iterations = _kernel_solve(g)
     else:
-        pair = leading_eig(_m_operator(g), size=2 * n, dense=lambda: build_m_matrix(g))
+        pair = leading_eig(_m_operator(g), size=2 * n)
         # leading_eig makes the largest entry positive, and for kappa > 1 it is
         # in the top block; wipe sign noise and clamp what is left below zero.
         x = pair.vector[:n]
         x = np.where(x < 1e-14 * x.max(), 0.0, x)
-        path, iterations = pair.path, pair.iterations
-    kappa = _kappa_of(g, x)
+        kappa, path, iterations = _kappa_of(g, x), pair.path, pair.iterations
     residual = _reduced_residual(g, kappa, x)
     gate = 1e3 * TOL * max(1.0, kappa)
     if residual > gate:
@@ -290,7 +286,7 @@ def verify_b_vs_m(g):
         )
     kappa_m = nb_centrality(g).kappa
     b = build_nb_matrix(g)
-    pair_b = leading_eig(b.__matmul__, size=b.shape[0], dense=lambda: b)
+    pair_b = leading_eig(b.__matmul__, size=b.shape[0])
     # Summing the edge-vector over outgoing edges gives the node vector, so
     # both sides take kappa from the same quadratic identity.
     x_b = np.bincount(g.arcs[0], weights=pair_b.vector, minlength=g.n)

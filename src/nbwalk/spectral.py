@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailureError, InvalidParamsError
-from .graph import MAX_DENSE_NODES
+from .graph import MAX_DENSE_NODES, check_entries
 
 # Convergence and symmetry tolerance, relative to the magnitude of the result.
 TOL = 1e-12
@@ -63,20 +63,21 @@ def _start_vector(size):
     return v / np.linalg.norm(v)
 
 
-def leading_eig(apply, size, dense):
+def leading_eig(apply, size):
     """Leading eigenpair (largest real part) of a square operator by power iteration.
 
     ``apply`` maps ``v -> M v`` for an operator of dimension ``size`` and
     must return a fresh array on every call, never ``v`` itself or a buffer
     it reuses: each step adds ``v`` to the result and normalises it in place.
-    ``dense`` is a thunk building M, called only if the dense fallback is
-    needed.  The iteration runs on ``M + I`` and every 8 steps certifies its
-    unit vector v by :func:`_certified` at M's Rayleigh quotient v·Mv.  If
-    that fails for 100 steps per dimension (e.g. defective or modulus-tied
-    spectra), a dense eigensolve takes the eigenvector of the eigenvalue of
-    largest real part.  On both paths the value is the Rayleigh quotient of
-    the returned unit vector and the residual its max-norm residual, under
-    M (the dense M on the fallback); the fallback's pair is reported
+    The iteration runs on ``M + I`` and every 8 steps certifies its unit
+    vector v by :func:`_certified` at M's Rayleigh quotient v·Mv.  If that
+    fails for 100 steps per dimension (e.g. defective or modulus-tied
+    spectra), the dense fallback forms M from its columns ``apply(e_j)``, in
+    one size×size array refused above ``MAX_DENSE_NODES``² entries before it
+    is allocated, and a dense eigensolve takes the eigenvector of the
+    eigenvalue of largest real part.  On both paths the value is the
+    Rayleigh quotient of the returned unit vector and the residual its
+    max-norm residual, under the operator; the fallback's pair is reported
     uncertified.  The vector's largest-magnitude entry is positive.
 
     The unit shift serves the three operators iterated here: the reduced
@@ -109,14 +110,20 @@ def leading_eig(apply, size, dense):
         if _certified(value, residual):
             return LeadingEigenpair(value=value, vector=_sign_fix(v), residual=residual,
                                     iterations=it)
-    m = dense()
+    check_entries(size * size, f"the dense fallback's {size}x{size} matrix")
+    m = np.empty((size, size))
+    e = np.zeros(size)
+    for j in range(size):
+        e[j] = 1.0
+        m[:, j] = apply(e)
+        e[j] = 0.0
     evals, evecs = np.linalg.eig(m)
     v = np.real(evecs[:, np.argmax(evals.real)])
     nrm = np.linalg.norm(v)
     if nrm == 0:
         raise InvalidParamsError("degenerate eigenvector in dense fallback")
     v = v / nrm
-    value, residual = _rayleigh(m.__matmul__, v)
+    value, residual = _rayleigh(apply, v)
     return LeadingEigenpair(value=value, vector=_sign_fix(v), residual=residual, iterations=it,
                             path="dense")
 

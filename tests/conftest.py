@@ -35,6 +35,14 @@ def k_with_path(k, length):
     return Graph.from_edges(k + length, [(i, j) for i in range(k) for j in range(i + 1, k)] + path)
 
 
+def twin_k4(length):
+    """Two K4 joined by a path of ``length`` edges, numbered so that node i mirrors N - 1 - i."""
+    n = length + 7
+    k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    path = [(i, i + 1) for i in range(3, length + 3)]
+    return Graph.from_edges(n, k4 + [(n - 1 - i, n - 1 - j) for i, j in k4] + path)
+
+
 def ring_with_chord(n):
     """Ring on n nodes (n even) plus the chord (0, n/2).
 
@@ -55,7 +63,7 @@ def star_with_chord(n):
 
 def dense_pair(m):
     """Leading eigenpair of the explicit matrix ``m`` by ``leading_eig``."""
-    return leading_eig(m.__matmul__, size=m.shape[0], dense=lambda: m)
+    return leading_eig(m.__matmul__, size=m.shape[0])
 
 
 def _usable(g):

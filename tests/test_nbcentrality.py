@@ -14,13 +14,13 @@ from nbwalk import (
     gen_ba, gen_er, make_rose, nb_centrality, nbcentrality, reversible_walk, rose4_oracle,
     verify_b_vs_m,
 )
-from nbwalk import graph
+from nbwalk import graph, spectral
 from nbwalk.graph import MAX_DENSE_NODES, dense_on_arcs
-from nbwalk.nbcentrality import _adj_matvec, _m_operator
+from nbwalk.nbcentrality import _adj_matvec, _kappa_of, _m_operator
 
 from conftest import (
     complete_graph, cycle_graph, dense_pair, k_with_path, path_graph, ring_with_chord,
-    star_with_chord, triangle_with_path,
+    star_with_chord, triangle_with_path, twin_k4,
 )
 
 
@@ -117,7 +117,8 @@ def test_solver_diagnostics():
     # A long ring with one chord has its leading eigenvalue close to the rest
     # of M's spectrum, so power iteration on M exhausts its 100 steps per
     # dimension there (test_spectral covers that fallback on M itself).  Its
-    # kernel is two branch nodes and three chains, 2E_k = 6 <= N.
+    # kernel is two branch nodes and three chains, 2E_k = 6 <= N.  Twin
+    # clusters reach the fallback on either route (test_dense_fallback_through_nb_centrality).
     g = ring_with_chord(240)
     kernel = nb_centrality(g)
     assert kernel.path == "kernel" and 0 < kernel.iterations < 100 * 2 * g.n
@@ -299,9 +300,19 @@ def cycle_with_trees(cycle, n, seed):
 @pytest.mark.parametrize("m", [2, 3, 5, 10, 20, 60, 80, 150, 300])
 def test_rose_kappa_is_the_quadratic_root(m):
     # The quadratic-identity root is second-order in the vector's error, so
-    # kappa sits within a few ulps of the closed form (2m - 1)^(1/4).
+    # the root of the returned x sits within a few ulps of the closed form
+    # (2m - 1)^(1/4), although kappa itself comes from the kernel's Newton root.
+    g = make_rose(RoseSpec(m=m))
     oracle = rose4_oracle(m).kappa1
-    assert abs(nb_centrality(make_rose(RoseSpec(m=m))).kappa - oracle) <= 1e-13 * oracle
+    assert abs(_kappa_of(g, nb_centrality(g).x) - oracle) <= 1e-13 * oracle
+
+
+def test_rose_kappa_is_the_newton_root():
+    # The kernel route reports the Newton root z = e^t itself, which no
+    # cancellation touches: within 1e-15 of (2m - 1)^(1/4) on every rose up to m = 300.
+    for m in range(2, 301):
+        oracle = rose4_oracle(m).kappa1
+        assert abs(nb_centrality(make_rose(RoseSpec(m=m))).kappa - oracle) <= 1e-15 * oracle, m
 
 
 def test_verify_b_vs_m_gap_on_roses_and_small_corpus(small_corpus):
@@ -368,6 +379,22 @@ def test_centrality_below_rounding_is_wiped_to_zero():
     assert np.all(nc.x[:20] > 0) and np.count_nonzero(nc.x == 0) > 0
 
 
+@pytest.mark.parametrize("length, tol", [(19, 1e-8), (10, 1e-10)], ids=["kernel", "power"])
+def test_dense_fallback_through_nb_centrality(length, tol):
+    # Two identical K4 joined by a path: the symmetric and antisymmetric
+    # combinations of the clusters' vectors are nearly tied, so the power loop
+    # exhausts its 100 steps per dimension and the dense fallback runs, on the
+    # kernel route with a 19-edge path (N = 26 = 2E_k) and on the power route
+    # with a 10-edge one (N = 17 < 2E_k = 26).  Its vector keeps the mirror symmetry.
+    g = twin_k4(length)
+    assert (2 * g.reduction.kernel_edges <= g.n) == (length == 19)
+    nc = nb_centrality(g)
+    assert nc.path == "dense"
+    assert np.all(nc.x >= 0)
+    assert np.max(np.abs(nc.x - nc.x[::-1])) <= tol * nc.x.max()
+    assert abs(nc.kappa - verify_b_vs_m(g)["kappa_b"]) <= 1e-12
+
+
 def test_pendant_tree_centrality_is_exact_on_the_kernel_route():
     # K4 with the same path: 2E_k = 12 <= N = 124, so x comes from the
     # kernel, and each path node takes its parent's x / kappa, exactly.
@@ -395,11 +422,11 @@ def test_theta_kappa_on_the_kernel_route(lengths):
     nc = nb_centrality(theta_graph(lengths))
     assert nc.path == "kernel"
     expected = theta_kappa(lengths)
-    assert abs(nc.kappa - expected) <= 1e-12 * expected
+    assert abs(nc.kappa - expected) <= 1e-15 * expected
 
 
-@pytest.mark.parametrize("n, tol", [(240, 1e-12), (30000, 1e-10)])
-def test_ring_with_chord_needs_no_dense_array(n, tol, monkeypatch):
+@pytest.mark.parametrize("n", [240, 30000])
+def test_ring_with_chord_needs_no_dense_array(n, monkeypatch):
     # The 30000-ring's M would take 100·2N power steps and then a dense
     # 60000 × 60000 eigensolve; its kernel has 6 arcs.
     def refuse(*args, **kwargs):
@@ -407,10 +434,11 @@ def test_ring_with_chord_needs_no_dense_array(n, tol, monkeypatch):
 
     monkeypatch.setattr(graph, "dense_on_arcs", refuse)
     monkeypatch.setattr(nbcentrality, "dense_on_arcs", refuse)
+    monkeypatch.setattr(spectral, "check_entries", refuse)
     nc = nb_centrality(ring_with_chord(n))
     assert nc.path == "kernel"
     expected = theta_kappa((n // 2, n // 2, 1))
-    assert abs(nc.kappa - expected) <= tol * expected
+    assert abs(nc.kappa - expected) <= 1e-15 * expected
 
 
 @pytest.mark.parametrize("g", [
@@ -418,15 +446,16 @@ def test_ring_with_chord_needs_no_dense_array(n, tol, monkeypatch):
     ring_with_chord(12), gen_ba(60, 2, 3),
 ], ids=["theta-2-3-4", "theta-30-30-1", "rose-m5", "k4-path10", "ring-chord12", "ba60"])
 def test_kernel_operator_matches_its_dense_matrix(g):
-    # The dense thunk lists each continuation e -> f at a branch node; the
-    # product subtracts the backtracking term from the sum over the node.
+    # The matrix lists each continuation e -> f at a branch node, weighted
+    # e^(-t l_f); the product subtracts the backtracking term from the sum over the node.
     k = g.kernel
     rng = np.random.default_rng(5)
     for t in (0.0, 0.3):
-        weights, apply, dense = nbcentrality._kernel_operator(k, t)
-        m = dense()
+        weights, apply = nbcentrality._kernel_operator(k, t)
+        expected = np.exp(-t * k.length)
+        assert np.array_equal(weights, expected)
         cont = (k.head[:, None] == k.tail[None, :]) & (k.reverse[:, None] != np.arange(k.tail.size))
-        assert np.array_equal(m, np.where(cont, weights[None, :], 0.0))
+        m = np.where(cont, expected[None, :], 0.0)
         v = rng.standard_normal(k.tail.size)
         assert np.max(np.abs(apply(v) - m @ v)) <= 1e-14 * max(1.0, np.max(np.abs(m @ v)))
 

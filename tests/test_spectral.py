@@ -7,7 +7,8 @@ import pytest
 
 from nbwalk import (
     ConvergenceFailureError, InvalidParamsError, Graph, RoseSpec, build_m_matrix,
-    eigenvector_centrality, gen_ba, gen_ws, lanczos_leading, leading_eig, make_rose, sym_eig,
+    eigenvector_centrality, gen_ba, gen_ws, graph, lanczos_leading, leading_eig, make_rose,
+    spectral, sym_eig,
 )
 from nbwalk.nbcentrality import _adj_matvec, _m_operator
 
@@ -112,29 +113,58 @@ def test_leading_eig_defective_dominant_eigenvalue():
 
 
 def test_leading_eig_operator_form_reaches_dense_fallback():
-    # Same defective case through an operator that is not a matrix: the
-    # dense thunk is built once, for the fallback only.
-    m = build_m_matrix(cycle_graph(6))
-    built = []
-
-    def dense():
-        built.append(True)
-        return m
-
-    pair = leading_eig(lambda v: m @ v, size=m.shape[0], dense=dense)
+    # Same defective case through the edge-list operator, which is not a
+    # matrix: the fallback forms M from the operator's columns, and that is
+    # build_m_matrix's M to the bit, so its vector is the sign-fixed Perron
+    # column of the dense eigensolve of that M.
+    g = cycle_graph(6)
+    m = build_m_matrix(g)
+    evals, evecs = np.linalg.eig(m)
+    expected = np.real(evecs[:, np.argmax(evals.real)])
+    expected = expected / np.linalg.norm(expected)
+    if expected[np.argmax(np.abs(expected))] < 0:
+        expected = -expected
+    pair = leading_eig(_m_operator(g), size=m.shape[0])
     assert pair.value == pytest.approx(1.0, abs=1e-8)
-    assert pair.path == "dense" and built == [True]
-    assert pair.iterations == 100 * m.shape[0]
+    assert pair.path == "dense" and pair.iterations == 100 * m.shape[0]
+    assert pair.vector.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("missing", ["size", "dense"])
-def test_leading_eig_operator_needs_size_and_dense(missing):
-    # Every argument is required: the operator alone tells neither its size nor its matrix.
+def test_leading_eig_operator_needs_size():
+    # The operator alone does not tell its dimension.
     m = build_m_matrix(star_with_chord(7))
-    kwargs = {"size": m.shape[0], "dense": lambda: m}
-    del kwargs[missing]
-    with pytest.raises(TypeError, match=missing):
-        leading_eig(m.__matmul__, **kwargs)
+    with pytest.raises(TypeError, match="size"):
+        leading_eig(m.__matmul__)
+
+
+def test_dense_fallback_is_refused_above_the_cap(monkeypatch):
+    # The 6-cycle's M exhausts the power loop; under a cap of 3 nodes its
+    # 12 × 12 matrix (144 > 9 entries) is refused before the fallback
+    # allocates a 2-D array or forms a single column.
+    class NoMatrix:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape, *args, **kwargs):
+            assert np.size(shape) < 2, f"an array of shape {shape} was allocated"
+            return np.empty(shape, *args, **kwargs)
+
+        zeros = empty
+
+    op, nonzeros = _m_operator(cycle_graph(6)), []
+
+    def apply(v):
+        nonzeros.append(np.count_nonzero(v))
+        return op(v)
+
+    monkeypatch.setattr(graph, "MAX_DENSE_NODES", 3)
+    monkeypatch.setattr(spectral, "np", NoMatrix())
+    with pytest.raises(InvalidParamsError, match=(
+            r"^the dense fallback's 12x12 matrix: 144 entries are above the cap of "
+            r"MAX_DENSE_NODES² = 9$")):
+        leading_eig(apply, size=12)
+    # 9 products per 8 power steps, over 100 steps per dimension, and none on a unit vector.
+    assert len(nonzeros) == 9 * 100 * 12 // 8 and min(nonzeros) == 12
 
 
 def test_leading_eig_deterministic():
@@ -149,19 +179,17 @@ def test_leading_eig_deterministic():
 def test_reported_pair_is_the_certificate_of_its_vector(path):
     # On every path the value is the Rayleigh quotient of the returned unit
     # vector, to the last bit, and the residual is the max-norm residual of
-    # that pair, under the operator the solver used: M's edge-list product
-    # (power), the dense M (the fallback) or A's edge-list product (Lanczos).
+    # that pair, under the operator the solver iterated: M's edge-list
+    # product (power and the fallback) or A's edge-list product (Lanczos).
     if path == "lanczos":
         g = gen_ba(200, 2, 1)
         pair, apply = eigenvector_centrality(g), lambda v: _adj_matvec(g, v)
     else:
         # Power iteration on the 240-ring's M exhausts its 100 steps per dimension and
-        # falls back to the dense M.  nb_centrality takes the kernel route on that
-        # graph, so this direct call is what covers the fallback.
+        # falls back to the dense eigensolve.
         g = make_rose(RoseSpec(m=3)) if path == "power" else ring_with_chord(240)
-        m = build_m_matrix(g)
-        pair = leading_eig(_m_operator(g), size=2 * g.n, dense=lambda: m)
-        apply = _m_operator(g) if path == "power" else m.__matmul__
+        apply = _m_operator(g)
+        pair = leading_eig(apply, size=2 * g.n)
     v = pair.vector
     mv = apply(v)
     assert pair.path == path
