@@ -22,12 +22,13 @@ class NbCentrality:
     Normalization: the stacked vector (x | x/kappa) has unit 2-norm.  The
     solver diagnostics say how the pair was obtained: ``path`` is "power"
     (power iteration on M), "kernel" (Newton's method on the contracted
-    kernel, where 2 E_k <= N; tree and chain entries of x are then exact),
-    "dense" (a dense eigensolve fallback on either route) or "unicyclic"
-    (the closed form x = 1 for E == N); ``iterations`` counts power steps,
-    on M or, summed over the Newton steps, on the kernel.  Kappa is taken
-    where it is known: 1 on the unicyclic path, the Newton root z on the
-    kernel route, and the quadratic-identity root of x on the power route.
+    kernel, where 2 E_k <= N; chain entries of x are then exact), "dense"
+    (a dense eigensolve fallback on either route) or "unicyclic" (the closed
+    form x = 1 for E == N); ``iterations`` counts power steps, on M or,
+    summed over the Newton steps, on the kernel.  Kappa is taken where it is
+    known: 1 on the unicyclic path, the Newton root z on the kernel route,
+    and the quadratic-identity root of x on the power route.  On every path
+    a node outside the 2-core has x_parent / kappa.
     """
 
     kappa: float
@@ -183,7 +184,7 @@ def _kernel_operator(k, t):
 
 
 def _kernel_solve(g):
-    """x, kappa, path and power steps from the kernel: kappa is the root of rho(B~(kappa)) = 1.
+    """x on the 2-core, kappa, path and power steps from the kernel: rho(B~(kappa)) = 1.
 
     B~(z) is the kernel's non-backtracking matrix with each arc f weighted
     z^-l_f, and V its Perron vector, the value of the B eigenvector on each
@@ -196,8 +197,8 @@ def _kernel_solve(g):
     as kappa -> 1.  The certified V then takes 8 more steps on B~ + I, each
     of which shrinks its other components as leading_eig's own steps do.
     The arc j steps before a chain's end takes z^-j V of that chain, so
-    nothing overflows; x sums each node's out-arcs, and a peeled node takes
-    x_parent / z, outward from the core.
+    nothing overflows; x sums each node's out-arcs on the 2-core and is 0 on
+    the peeled nodes, which ``nb_centrality`` sets.
     """
     k = g.kernel
     t, path, steps = 0.0, "kernel", 0
@@ -221,10 +222,7 @@ def _kernel_solve(g):
     steps += 8
     src = g.arcs[0][k.core_arcs]
     x = np.bincount(src, weights=np.exp(-t * k.to_end) * v[k.on], minlength=g.n)
-    z = math.exp(t)
-    for nodes, parents in reversed(g.reduction.levels()):
-        x[nodes] = x[parents] / z
-    return x, z, path, steps
+    return x, math.exp(t), path, steps
 
 
 def nb_centrality(g):
@@ -239,8 +237,11 @@ def nb_centrality(g):
     (:func:`_kernel_solve`).  Otherwise x is the top block of the leading
     eigenpair of M from power iteration on the edge-list operator.  Kappa
     comes from the route: exactly 1 on the unicyclic one, the Newton root on
-    the kernel route and :func:`_kappa_of` x on the power route.  Every pair
-    is gated on the reduced eigen-equation.
+    the kernel route and :func:`_kappa_of` x on the power route.  Either
+    solver route leaves the pendant trees to one closed form: at a peeled
+    node c the children's terms of (A + (I - D)/kappa) x cancel the
+    (1 - d_c) x_c / kappa term, so x_c = x_parent / kappa, set outward from
+    the 2-core.  Every pair is gated on the reduced eigen-equation.
     """
     flags = validate(g)
     if not flags.connected:
@@ -255,10 +256,15 @@ def nb_centrality(g):
     else:
         pair = leading_eig(_m_operator(g), size=2 * n)
         # leading_eig makes the largest entry positive, and for kappa > 1 it is
-        # in the top block; wipe sign noise and clamp what is left below zero.
+        # in the top block.  Entries below 1e-14 of it are sign noise, as on a
+        # long core chain far from the mass: wipe them and clamp what is left
+        # below zero.  Peeled nodes are set below, so the wipe acts on the 2-core.
         x = pair.vector[:n]
         x = np.where(x < 1e-14 * x.max(), 0.0, x)
         kappa, path, iterations = _kappa_of(g, x), pair.path, pair.iterations
+    if path != "unicyclic":
+        for nodes, parents in reversed(g.reduction.levels()):
+            x[nodes] = x[parents] / kappa
     residual = _reduced_residual(g, kappa, x)
     gate = 1e3 * TOL * max(1.0, kappa)
     if residual > gate:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nbwalk import InvalidParamsError
+from nbwalk import Graph, InvalidParamsError, gen_ba, nb_centrality
 from nbwalk.cli import COMMANDS, EXIT_STDOUT_CLOSED, WRITE_BLOCK, _iterjson, build_parser, main
 
 from conftest import k_with_path, triangle_with_path
@@ -167,6 +167,18 @@ def test_nbcrw_on_a_deep_pendant_path(tmp_path, capsys):
     code = main(["hitting", path, "--walk", "nbcrw"])
     assert code == 7
     assert json.loads(capsys.readouterr().err)["error"] == "ill_conditioned"
+
+
+def test_nbcrw_on_a_pendant_path_off_the_power_route(tmp_path, capsys):
+    # BA(100, 2) with a 20-node pendant path takes the power route (N = 120 <
+    # 2E_k = 296); the path's x is x_parent / kappa there too, not wiped to 0,
+    # so the walk builds and puts mass on every path node.
+    ba = gen_ba(100, 2, 1)
+    g = Graph.from_edges(120, [*ba.edges, (0, 100), *((i, i + 1) for i in range(100, 119))])
+    assert nb_centrality(g).path == "power"
+    path = write_graph(tmp_path, "ba_path.txt", "".join(f"{u} {v}\n" for u, v in g.edges))
+    out = run_json(capsys, ["stationary", path, "--walk", "nbcrw"])
+    assert min(out["reports"][0]["pi"][100:]) > 0
 
 
 GRAPH_COMMANDS = {

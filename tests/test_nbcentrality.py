@@ -326,9 +326,11 @@ def test_verify_b_vs_m_gap_on_roses_and_small_corpus(small_corpus):
     cycle_with_trees(30, 300, 2),
 ], ids=["triangle", "cycle10", "star-chord8", "cycle7-trees60", "cycle30-trees300"])
 def test_unicyclic_kappa_is_exactly_one(g):
-    # E == N makes kappa = 1 a double root; x = 1 gives it with no rounding.
+    # E == N makes kappa = 1 a double root; x = 1 gives it with no rounding,
+    # on the pendant trees too, so the graph is never peeled.
     nc = nb_centrality(g)
     assert nc.kappa == 1.0 and nc.path == "unicyclic"
+    assert "reduction" not in vars(g)
     assert np.allclose(nc.x, 1.0 / np.sqrt(2 * g.n), rtol=1e-15, atol=0)
     if 2 * g.num_edges <= 400:
         assert verify_b_vs_m(g)["max_gap"] <= 1e-12
@@ -368,15 +370,38 @@ def test_pendant_nodes_keep_positive_outgoing_centrality():
 
 
 def test_centrality_below_rounding_is_wiped_to_zero():
-    # Along a 120-node path hanging off K16 (kappa = 14) the outgoing
-    # centrality falls by 14 at every step, so deep in the path it falls
-    # below rounding and the power iterate carries sign noise there.  The
-    # kernel is K16 itself, 2E_k = 240 > N = 136: the power route.
-    g = k_with_path(16, 120)
+    # K16 joined to K4 by a 30-edge path: every node is in the 2-core and the
+    # kernel has 2E_k = 2 * (120 + 6 + 1) = 254 > N = 49 arcs, so the power
+    # route runs and nothing is peeled.  x falls by about 14 a step along the
+    # path, below 1e-14 of its largest 13 steps in, and the wipe leaves zeros
+    # from there on, at 2-core nodes only.
+    edges = [(i, j) for i in range(16) for j in range(i + 1, 16)]
+    edges += [(i, i + 1) for i in range(15, 45)]
+    edges += [(i, j) for i in range(45, 49) for j in range(i + 1, 49)]
+    g = Graph.from_edges(49, edges)
+    assert g.reduction.peeled.size == 0 and 2 * g.reduction.kernel_edges > g.n
     nc = nb_centrality(g)
     assert nc.path == "power"
     assert np.all(nc.x >= 0) and np.all(nc.y >= 0)
-    assert np.all(nc.x[:20] > 0) and np.count_nonzero(nc.x == 0) > 0
+    zeros = np.flatnonzero(nc.x == 0)
+    assert zeros.size > 0 and np.all(g.reduction.core_degrees[zeros] > 0)
+    assert np.all(nc.x[:16] > 0)
+
+
+def test_pendant_tree_is_the_same_closed_form_on_both_routes():
+    # K16 with a 120-node pendant path takes the power route (N = 136 <
+    # 2E_k = 240), with a 240-node one the kernel route (N = 256 >= 240).
+    # Both have the 2-core K16 and kappa = 14, and x_c = x_parent / kappa
+    # down either path, so x relative to the anchor node 15 agrees on the
+    # core and on the 120 shared path nodes, and stays positive to 14^-120.
+    power, kernel = nb_centrality(k_with_path(16, 120)), nb_centrality(k_with_path(16, 240))
+    assert (power.path, kernel.path) == ("power", "kernel")
+    assert kernel.kappa == pytest.approx(14.0, rel=1e-15)
+    assert power.kappa == pytest.approx(kernel.kappa, rel=1e-15)
+    assert np.all(power.x > 0) and np.all(kernel.x > 0)
+    shared = slice(0, 136)
+    a, b = power.x[shared] / power.x[15], kernel.x[shared] / kernel.x[15]
+    assert np.max(np.abs(a / b - 1.0)) <= 1e-13
 
 
 @pytest.mark.parametrize("length, tol", [(19, 1e-8), (10, 1e-10)], ids=["kernel", "power"])
