@@ -194,17 +194,22 @@ def _kernel_solve(g):
     Perron vector u_e = z^-l_e V_reverse(e), and rho is the two-sided
     Rayleigh quotient u B~ V / u V, second-order in the error of V.  Kappa
     is the last Newton iterate z = e^t itself, which no cancellation touches
-    as kappa -> 1.  The certified V then takes 8 more steps on B~ + I, each
-    of which shrinks its other components as leading_eig's own steps do.
-    The arc j steps before a chain's end takes z^-j V of that chain, so
-    nothing overflows; x sums each node's out-arcs on the 2-core and is 0 on
-    the peeled nodes, which ``nb_centrality`` sets.
+    as kappa -> 1.  The first Newton step starts leading_eig from its seeded
+    vector and each later one from the previous step's V, the Perron vector
+    of a nearby B~ (on the benchmark's chord300, 16 power steps for each
+    later Newton step, against 128 from the seeded vector).  The step count
+    sums the power steps of every Newton step and of the tail: the last V
+    takes 8 more steps on B~ + I, each of which shrinks its other
+    components as leading_eig's own steps do.  The arc j steps before a
+    chain's end takes z^-j V of that chain, so nothing overflows; x sums
+    each node's out-arcs on the 2-core and is 0 on the peeled nodes, which
+    ``nb_centrality`` sets.
     """
     k = g.kernel
-    t, path, steps = 0.0, "kernel", 0
+    t, path, steps, v = 0.0, "kernel", 0, None
     for _ in range(MAX_NEWTON):
         weights, apply = _kernel_operator(k, t)
-        pair = leading_eig(apply, size=k.tail.size)
+        pair = leading_eig(apply, size=k.tail.size, start=v)
         steps += pair.iterations
         if pair.path == "dense":
             path = "dense"

@@ -117,8 +117,8 @@ def test_solver_diagnostics():
     # A long ring with one chord has its leading eigenvalue close to the rest
     # of M's spectrum, so power iteration on M exhausts its 100 steps per
     # dimension there (test_spectral covers that fallback on M itself).  Its
-    # kernel is two branch nodes and three chains, 2E_k = 6 <= N.  Twin
-    # clusters reach the fallback on either route (test_dense_fallback_through_nb_centrality).
+    # kernel is two branch nodes and three chains, 2E_k = 6 <= N.  Clusters
+    # of equal kappa reach the fallback on either route (test_dense_fallback_through_nb_centrality).
     g = ring_with_chord(240)
     kernel = nb_centrality(g)
     assert kernel.path == "kernel" and 0 < kernel.iterations < 100 * 2 * g.n
@@ -404,20 +404,49 @@ def test_pendant_tree_is_the_same_closed_form_on_both_routes():
     assert np.max(np.abs(a / b - 1.0)) <= 1e-13
 
 
-@pytest.mark.parametrize("length, tol", [(19, 1e-8), (10, 1e-10)], ids=["kernel", "power"])
-def test_dense_fallback_through_nb_centrality(length, tol):
-    # Two identical K4 joined by a path: the symmetric and antisymmetric
-    # combinations of the clusters' vectors are nearly tied, so the power loop
-    # exhausts its 100 steps per dimension and the dense fallback runs, on the
-    # kernel route with a 19-edge path (N = 26 = 2E_k) and on the power route
-    # with a 10-edge one (N = 17 < 2E_k = 26).  Its vector keeps the mirror symmetry.
-    g = twin_k4(length)
-    assert (2 * g.reduction.kernel_edges <= g.n) == (length == 19)
+def k4_path_k33(length):
+    """K4 on nodes 0-3 and K_{3,3} on the last six nodes, joined by a path of ``length`` edges."""
+    n = length + 9
+    k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    k33 = [(n - 6 + i, n - 3 + j) for i in range(3) for j in range(3)]
+    path = [(i, i + 1) for i in range(3, length + 3)]
+    return Graph.from_edges(n, k4 + k33 + path)
+
+
+@pytest.mark.parametrize("g, mirror", [(k4_path_k33(25), None), (twin_k4(10), 1e-10)],
+                         ids=["kernel", "power"])
+def test_dense_fallback_through_nb_centrality(g, mirror):
+    # Two clusters of equal kappa joined by a path: the combinations of the
+    # clusters' vectors are nearly tied, so the power loop exhausts its 100
+    # steps per dimension and the dense fallback runs.  On the power route,
+    # twin K4 with a 10-edge path (N = 17 < 2E_k = 26) keeps the mirror
+    # symmetry.  On the kernel route each Newton step after the first starts
+    # from the previous step's V, and twin K4's stays symmetric there
+    # (test_twin_clusters_certify_on_the_kernel_route); K4 and K_{3,3} (both
+    # kappa = 2) with a 25-edge path (2E_k = 32 <= N = 34) mix the two
+    # cluster vectors anew at each step, and the second Newton step stalls.
+    assert (2 * g.reduction.kernel_edges <= g.n) == (mirror is None)
     nc = nb_centrality(g)
     assert nc.path == "dense"
     assert np.all(nc.x >= 0)
-    assert np.max(np.abs(nc.x - nc.x[::-1])) <= tol * nc.x.max()
+    if mirror is not None:
+        assert np.max(np.abs(nc.x - nc.x[::-1])) <= mirror * nc.x.max()
     assert abs(nc.kappa - verify_b_vs_m(g)["kappa_b"]) <= 1e-12
+
+
+@pytest.mark.parametrize("length", [19, 29, 39, 59, 99])
+def test_twin_clusters_certify_on_the_kernel_route(length):
+    # Twin K4 joined by a path of 19 or more edges take the kernel route
+    # (2E_k = 26 <= N).  From the seeded vector the power loop stalls near the
+    # root on the nearly tied antisymmetric combination of the clusters'
+    # vectors; from the previous Newton step's V, which the mirror keeps
+    # symmetric up to leading_eig's 1e-9 share of the seeded vector, every
+    # step certifies.
+    g = twin_k4(length)
+    nc = nb_centrality(g)
+    assert nc.path == "kernel"
+    assert abs(nc.kappa - verify_b_vs_m(g)["kappa_b"]) <= 1e-12
+    assert np.max(np.abs(nc.x - nc.x[::-1])) <= 1e-9 * nc.x.max()
 
 
 def test_pendant_tree_centrality_is_exact_on_the_kernel_route():

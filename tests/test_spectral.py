@@ -175,6 +175,38 @@ def test_leading_eig_deterministic():
     assert a.vector.tobytes() == b.vector.tobytes()
 
 
+@pytest.mark.parametrize("start", [np.zeros(8), np.full(8, np.nan), np.r_[np.inf, np.ones(7)],
+                                   np.ones(7)], ids=["zero", "nan", "inf", "wrong-size"])
+def test_leading_eig_refuses_a_bad_start_before_any_step(start):
+    op, calls = _m_operator(complete_graph(4)), []
+
+    def apply(v):
+        calls.append(v)
+        return op(v)
+
+    with pytest.raises(InvalidParamsError, match="start vector"):
+        leading_eig(apply, size=8, start=start)
+    assert calls == []
+
+
+@pytest.mark.parametrize("apply, start, eigenvalue, perron", [
+    (_m_operator(complete_graph(4)), np.ones(8), 1.0, 2.0),
+    (complete_graph(4).adjacency.__matmul__, np.eye(4)[0] - np.eye(4)[1], -1.0, 3.0),
+], ids=["m-ones", "adjacency-e0-e1"])
+def test_leading_eig_start_on_a_non_dominant_eigenvector(apply, start, eigenvalue, perron):
+    # The trap the seeded start avoids.  From K4's M and the all-ones vector
+    # alone, power iteration would certify (1, ones) with a zero residual;
+    # from K4's adjacency and e0 - e1, the first step of A + I would give the
+    # zero vector.  The share of the seeded vector that leading_eig adds to a
+    # start grows into the certified Perron pair.
+    assert np.array_equal(apply(start), eigenvalue * start)
+    pair = leading_eig(apply, size=start.size, start=start)
+    assert pair.path == "power"
+    assert pair.value == pytest.approx(perron, abs=1e-10)
+    assert pair.residual <= 1e-12 * perron
+    assert np.all(pair.vector > 0)
+
+
 @pytest.mark.parametrize("path", ["power", "dense", "lanczos"])
 def test_reported_pair_is_the_certificate_of_its_vector(path):
     # On every path the value is the Rayleigh quotient of the returned unit

@@ -13,8 +13,12 @@ side's median and quartiles, the change's wins out of the pairs (a tie counts
 for neither side), the change of the median against the metric's bound, and
 whether the gain rule holds: the change better in at least 9 of every 10
 pairs, and its median better than the parent's by more than the parent's
-interquartile spread.  A run that is not ``correct: true`` with
-``failed: 0`` stops the comparison with exit status 1.
+interquartile spread.  Below that table it prints, for each job, each
+side's median over the runs of the job's median within a run (the report's
+``job_median_s``, on the first output line), so that a change of
+``job_p50_s`` can be traced to the job that moved.  A run that is not
+``correct: true`` with ``failed: 0`` stops the comparison with exit
+status 1.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ def parse_args(argv):
 
 
 def run_once(root, args):
-    """The result line of one benchmark run in ``root``, or an error message."""
+    """(end-to-end metrics, per-job medians) of one benchmark run in ``root``, or an error message."""
     cmd = ["python3", "benchmarks/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -52,7 +56,7 @@ def run_once(root, args):
     result = json.loads(lines[-1])
     if result.get("correct") is not True or result.get("failed") != 0:
         return None, f"correct={result.get('correct')} failed={result.get('failed')}"
-    return result["metrics"], None
+    return (result["metrics"], json.loads(lines[0])["report"]["job_median_s"]), None
 
 
 def quartiles(values):
@@ -67,7 +71,7 @@ def main(argv=None):
     args = parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]
-    runs = {"parent": [], "change": []}
+    runs, jobs = {"parent": [], "change": []}, {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
@@ -75,7 +79,8 @@ def main(argv=None):
             if error:
                 print(f"pair {i + 1}, {side}: {error}", file=sys.stderr)
                 return 1
-            runs[side].append(values)
+            runs[side].append(values[0])
+            jobs[side].append(values[1])
         print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
 
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs, "
@@ -97,6 +102,11 @@ def main(argv=None):
               f"{rel:>+8.1%} {'ok' if worse <= metric['bound'] else 'OVER':>6}  "
               f"{'holds' if holds else 'does not hold'} "
               f"(gain {gain:.4g}, parent IQR {pq[2] - pq[0]:.4g})")
+    print(f"{'job':<28} {'parent median s':>16} {'change median s':>16} {'change':>8}")
+    for job in jobs["parent"][0]:
+        p = statistics.median(r[job] for r in jobs["parent"])
+        c = statistics.median(r[job] for r in jobs["change"])
+        print(f"{job:<28} {p:>16.4g} {c:>16.4g} {(c - p) / p if p else float('nan'):>+8.1%}")
     return 0
 
 
