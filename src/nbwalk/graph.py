@@ -60,6 +60,20 @@ def _pair_array(edges):
     return pairs
 
 
+def _sorted_keys(a, b, n):
+    """The keys ``a * n + b`` of the pairs (a[k], b[k]), sorted, or None where one may not fit.
+
+    While every id lies in [0, n) and n <= 2**31, each key is below 2**62
+    and the keys order as the pairs do, so one int64 sort stands in for a
+    lexsort of the two columns.
+    """
+    if not 1 <= n <= 2**31 or a.size and (min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >= n):
+        return None
+    keys = a * n + b
+    keys.sort()
+    return keys
+
+
 class Graph:
     """Simple undirected graph stored as its sorted edge list; immutable.
 
@@ -121,15 +135,21 @@ class Graph:
     def arcs(self):
         """The 2E directed edges as read-only (src, dst) arrays in lexicographic order.
 
-        The edges ascend with u < v, so the arcs into each node from below,
-        (v, u), come in increasing u, and those out of it upwards, (u, v), in
-        increasing v; listed in that order, one stable sort on src is enough.
+        Up to 2**31 nodes the arcs are sorted as the int64 keys src·n + dst.
+        Above that, the edges ascend with u < v, so the arcs into each node
+        from below, (v, u), come in increasing u, and those out of it
+        upwards, (u, v), in increasing v; listed in that order, one stable
+        sort on src is enough.
         """
         e = self.edge_array
         src = np.concatenate([e[:, 1], e[:, 0]])
         dst = np.concatenate([e[:, 0], e[:, 1]])
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
+        keys = _sorted_keys(src, dst, self.n)
+        if keys is None:
+            order = np.argsort(src, kind="stable")
+            src, dst = src[order], dst[order]
+        else:
+            src, dst = np.divmod(keys, self.n)
         src.setflags(write=False)
         dst.setflags(write=False)
         return src, dst
@@ -162,13 +182,26 @@ class Graph:
 
     @staticmethod
     def from_edges(n, edges, labels=None):
-        """Build a graph from (u, v) pairs in any order and orientation, collapsing duplicates."""
+        """Build a graph from (u, v) pairs in any order and orientation, collapsing duplicates.
+
+        Each pair becomes (lo, hi).  Up to 2**31 nodes, with every id in
+        [0, n), the pairs are sorted and deduplicated as the int64 keys
+        lo·n + hi; otherwise by a lexsort, and ``Graph`` reports the first
+        edge it refuses.
+        """
         pairs = _pair_array(edges)
         lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
-        pairs = np.stack([lo, hi], axis=1)[np.lexsort((hi, lo))]
-        fresh = np.ones(len(pairs), dtype=bool)
-        fresh[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
-        return Graph(n=n, edges=pairs[fresh], labels=labels)
+        keys = _sorted_keys(lo, hi, n)
+        if keys is None:
+            pairs = np.stack([lo, hi], axis=1)[np.lexsort((hi, lo))]
+            fresh = np.ones(len(pairs), dtype=bool)
+            fresh[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
+            pairs = pairs[fresh]
+        else:
+            fresh = np.ones(len(keys), dtype=bool)
+            fresh[1:] = keys[1:] != keys[:-1]
+            pairs = np.stack(np.divmod(keys[fresh], n), axis=1)
+        return Graph(n=n, edges=pairs, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -177,8 +210,14 @@ class GraphValidation:
     is_tree: bool
 
 
-# Lines tokenised at a time: bounds the parser's scratch lists, whatever the input size.
+# Lines the per-line reader tokenises at a time: bounds its scratch lists, whatever the input size.
 PARSE_BLOCK = 1 << 14
+
+# The bytes of a plain edge list's body: digits, spaces, tabs and "\n".
+_PLAIN_BYTES = b"0123456789 \t\n"
+
+# Digits of the longest id the plain reader converts: every such id fits int64.
+_PLAIN_DIGITS = 18
 
 
 def parse_edge_list(text, index_base=0, delimiter=None, *, return_duplicates=False):
@@ -195,21 +234,18 @@ def parse_edge_list(text, index_base=0, delimiter=None, *, return_duplicates=Fal
     ``return_duplicates=True`` the result is ``(graph, count)``, where
     ``count`` is the number of edge lines that repeat an earlier edge.
 
-    The text is read in blocks of ``PARSE_BLOCK`` lines with string methods
-    mapped over each block, and the ids go straight into int64 arrays; the
-    checks and the canonical edge order are array operations.
+    With ``delimiter=None`` a plain text (see ``_read_plain``: ASCII, ids
+    of at most 18 digits, ``%N`` and ``#`` lines only at the top) is read in
+    one array pass.  Any other text, and a plain one with a fault, is read
+    per line: in blocks of ``PARSE_BLOCK`` lines with string methods mapped
+    over each block, the ids going straight into int64 arrays.  Both readers
+    give the same graph, count and error; the checks and the canonical edge
+    order are array operations.
     """
     if index_base not in (0, 1):
         raise InvalidParamsError(f"index_base must be 0 or 1, got {index_base}")
-    lines = text.splitlines()
-    header_n = None
-    blocks = []
-    for start in range(0, len(lines), PARSE_BLOCK):
-        header_n, pairs = _parse_block(lines[start:start + PARSE_BLOCK], start + 1, index_base,
-                                       delimiter, header_n)
-        blocks.append(pairs)
-    del lines  # freed before the graph is built, so the two never add up in the peak
-    pairs = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
+    plain = _read_plain(text, index_base) if delimiter is None else None
+    header_n, pairs = plain or _read_lines(text, index_base, delimiter)
     max_id = int(pairs.max()) if pairs.size else None
     if header_n is None and max_id is None:
         raise ParseError("empty edge list and no %N header")
@@ -218,6 +254,67 @@ def parse_edge_list(text, index_base=0, delimiter=None, *, return_duplicates=Fal
         raise ParseError(f"node id {max_id + index_base} out of range for %N {n}")
     g = Graph.from_edges(n, pairs, labels=range(index_base, n + index_base))
     return (g, len(pairs) - g.num_edges) if return_duplicates else g
+
+
+def _read_plain(text, index_base):
+    """The %N count and the edges less ``index_base`` of a plain text, or None.
+
+    A text is plain when it is ASCII and, past its leading ``%N`` and ``#``
+    lines, holds only the bytes of ``_PLAIN_BYTES``, with two ids of at most
+    ``_PLAIN_DIGITS`` digits on each line that is not blank.  The token and
+    line structure is found from the bytes with numpy, and every id is
+    converted by one ``np.fromstring`` call.  None, for any other text and
+    for a fault (a malformed header, a self-loop, an id below the base), is
+    left to ``_read_lines``, which reports it with its line number.
+    """
+    if not text.isascii():
+        return None
+    header_n, start = None, 0
+    while text.startswith(("%N", "#"), start):
+        end = text.find("\n", start) + 1 or len(text)
+        line = text[start:end]
+        start = end
+        if len(line.splitlines()) > 1:  # a break other than "\n" ends a line too
+            return None
+        line = line.partition("#")[0]
+        if line:
+            try:
+                header_n = int(line[2:].strip())
+            except ValueError:
+                return None
+            if header_n < 1:
+                return None
+    body = text[start:].encode()
+    if body.translate(None, _PLAIN_BYTES):
+        return None
+    a = np.frombuffer(body, dtype=np.uint8)
+    # The tokens are the runs of digits, the only bytes left at or above "0".
+    bounds = np.flatnonzero(np.diff(a >= ord("0"), prepend=False, append=False))
+    starts, ends = bounds[0::2], bounds[1::2]
+    # Two ids to a line: each pair's ids share a line, and the next pair starts on a later one.
+    line_of = np.searchsorted(np.flatnonzero(a == ord("\n")), starts)
+    first, second = line_of[0::2], line_of[1::2]
+    if (starts.size % 2 or (ends - starts).max(initial=0) > _PLAIN_DIGITS
+            or (first != second).any() or (first[1:] <= second[:-1]).any()):
+        return None
+    # count= matters: with no tokens left to read np.fromstring still returns [0].
+    ids = np.fromstring(body, dtype=np.int64, sep=" ", count=starts.size)
+    if ids.size != starts.size or (ids[0::2] == ids[1::2]).any() or (ids < index_base).any():
+        return None
+    return header_n, ids.reshape(-1, 2) - index_base
+
+
+def _read_lines(text, index_base, delimiter):
+    """The %N count and the edges less ``index_base`` of ``text``, read per line."""
+    lines = text.splitlines()
+    header_n = None
+    blocks = []
+    for start in range(0, len(lines), PARSE_BLOCK):
+        header_n, pairs = _parse_block(lines[start:start + PARSE_BLOCK], start + 1, index_base,
+                                       delimiter, header_n)
+        blocks.append(pairs)
+    del lines  # freed before the blocks are joined and the graph built, so none add up in the peak
+    return header_n, np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
 
 
 def _parse_block(lines, first, index_base, delimiter, header_n):

@@ -309,11 +309,38 @@ BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c"])
 SEPARATORS = {None: [" ", "\t", "  ", " \t"], ",": [",", " , ", ",,", "\t,", ", ", ", ,"]}
 
 
+# Ids of the plain form: leading zeros and 18 digits, the longest the array reader converts;
+# in a faulty text also 19 digits, which leave the text to the per-line reader.
+PLAIN_IDS = ["007", "08", "9" * 18]
+LONG_IDS = ["0" * 18 + "1", "1" + "0" * 18, str(2**63 - 1)]
+
+
+def plain_edge_list(draw, index_base):
+    """A text in the array reader's form: "\n" breaks, whitespace separators, %N and # lines
+    at the top only; in one text of four, lines may hold one or three ids or 19 digits."""
+    faulty = draw(st.integers(0, 3)) == 0
+    ids = st.integers(index_base, index_base + 12)
+    odd_ids = PLAIN_IDS + (LONG_IDS if faulty else [])
+    lines = [draw(st.sampled_from(["#", "# 3 3", "%N " + str(draw(st.integers(8, 15))),
+                                   "%N\t12 # c"])) for _ in range(draw(st.integers(0, 2)))]
+    pad = st.sampled_from(["", "", " ", "\t"])
+    for _ in range(draw(st.integers(0, 14))):
+        count = draw(st.sampled_from([2] * 8 + [0] + ([1, 3] if faulty else [])))
+        line = draw(pad)
+        for k, i in enumerate(draw(st.lists(ids, min_size=count, max_size=count, unique=True))):
+            line += (draw(st.sampled_from(SEPARATORS[None])) if k else "") + rarely(
+                draw, odd_ids, st.just(str(i)))
+        lines.append(line + draw(pad))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
 @st.composite
 def edge_list_texts(draw):
-    """``(text, index_base, delimiter)``: a plain edge list, or one with odd tokens, headers,
-    separators and token counts in some of its lines."""
+    """``(text, index_base, delimiter)``: in the plain form half the time, else an edge list
+    that may have odd tokens, headers, separators, breaks and token counts in some lines."""
     index_base = draw(st.sampled_from([0, 1]))
+    if draw(st.booleans()):
+        return plain_edge_list(draw, index_base), index_base, None
     delimiter = draw(st.sampled_from([None, ","]))
     odd = draw(st.booleans())
 
@@ -358,7 +385,10 @@ def test_parse_reference_corner_cases_agree():
     for text in ["%N 5\n%N 3\n0 2\n", "0 1\n%N 0\n", "0 9223372036854775808\n",
                  "%N 2\n0 18446744073709551616\n", "0 1 # a\x1c1 2\r\n\u0663 0\x0b",
                  "%N 99999999999999999999\n0 1\n", "1_0 +3\n3 0\n1 10\n", "0 , x\n",
-                 "1,\t,2\n0, ,1\n", "2 ,1\n1 ,, 0\n", ""]:
+                 "1,\t,2\n0, ,1\n", "2 ,1\n1 ,, 0\n", "", "%N 3\n \n\t\n",
+                 "0 999999999999999999\n", "0 9223372036854775807\n", "007 08\n",
+                 "\t1\t2 \n\n \t\n3  4\t\n", "1 2\n2 3", "0 1\r\n1 2\r\n", "0 1\n%N 4\n2 3\n",
+                 "%N 5\n3 3\n", "1 2 3 4\n", "1\n2\n", "# c\r3 3\n1 2\n"]:
         for index_base in (0, 1):
             for delimiter in (None, ","):
                 expected = outcome(lambda: parse_edge_list_reference(text, index_base, delimiter))
@@ -399,10 +429,34 @@ def test_graph_and_from_edges_match_the_reference(data, form):
         assert got == expected, build
 
 
-def test_parse_memory_stays_below_64_mib():
+@pytest.mark.parametrize("n", [2**31, 2**31 + 1], ids=["keys", "lexsort"])
+def test_from_edges_and_arcs_match_the_reference_at_the_key_bound(n, monkeypatch):
+    # Up to 2**31 nodes the edges and arcs are sorted as int64 keys, above that by lexsort and
+    # a stable argsort; both must give the loop references' arrays.  Only the arcs are read:
+    # g.degrees would be an array of n entries.
+    keys, routes = graph_module._sorted_keys, []
+
+    def sorted_keys(*args):
+        routes.append(keys(*args))
+        return routes[-1]
+
+    monkeypatch.setattr(graph_module, "_sorted_keys", sorted_keys)
+    pairs = [(n - 1, 0), (5, n - 1), (0, 5), (n - 2, n - 1), (0, n - 1), (5, 0)]
+    g = Graph.from_edges(n, pairs)
+    assert (g.n, g.edges, g.labels) == from_edges_reference(n, pairs)
+    src, dst = g.arcs
+    arcs = sorted(g.edges + tuple((v, u) for (u, v) in g.edges))
+    assert list(zip(src.tolist(), dst.tolist())) == arcs
+    assert [r is not None for r in routes] == [n <= 2**31] * 2
+
+
+@pytest.mark.parametrize("comment", ["", " # c"], ids=["plain", "commented"])
+def test_parse_memory_stays_below_64_mib(comment):
+    # Without comments the text takes the array reader, with them the per-line reader.
     rng = np.random.default_rng(7)
     u, v = rng.integers(0, 100_000, (2, 200_000)).tolist()
-    text = "%N 100000\n" + "".join(f"{a} {b}\n" for a, b in zip(u, v) if a != b)
+    text = "%N 100000\n" + "".join(f"{a} {b}{comment}\n" for a, b in zip(u, v) if a != b)
+    assert (graph_module._read_plain(text, 0) is None) == bool(comment)
     tracemalloc.start()
     try:
         parse_edge_list(text)
