@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -210,9 +209,6 @@ class GraphValidation:
     is_tree: bool
 
 
-# Lines the per-line reader tokenises at a time: bounds its scratch lists, whatever the input size.
-PARSE_BLOCK = 1 << 14
-
 # The bytes of a plain edge list's body: digits, spaces, tabs and "\n".
 _PLAIN_BYTES = b"0123456789 \t\n"
 
@@ -237,10 +233,9 @@ def parse_edge_list(text, index_base=0, delimiter=None, *, return_duplicates=Fal
     With ``delimiter=None`` a plain text (see ``_read_plain``: ASCII, ids
     of at most 18 digits, ``%N`` and ``#`` lines only at the top) is read in
     one array pass.  Any other text, and a plain one with a fault, is read
-    per line: in blocks of ``PARSE_BLOCK`` lines with string methods mapped
-    over each block, the ids going straight into int64 arrays.  Both readers
-    give the same graph, count and error; the checks and the canonical edge
-    order are array operations.
+    one line at a time by ``_read_lines``.  Both readers give the same
+    graph, count and error; the edge checks and the canonical edge order
+    are array operations on the ids they return.
     """
     if index_base not in (0, 1):
         raise InvalidParamsError(f"index_base must be 0 or 1, got {index_base}")
@@ -305,86 +300,50 @@ def _read_plain(text, index_base):
 
 
 def _read_lines(text, index_base, delimiter):
-    """The %N count and the edges less ``index_base`` of ``text``, read per line."""
-    lines = text.splitlines()
-    header_n = None
-    blocks = []
-    for start in range(0, len(lines), PARSE_BLOCK):
-        header_n, pairs = _parse_block(lines[start:start + PARSE_BLOCK], start + 1, index_base,
-                                       delimiter, header_n)
-        blocks.append(pairs)
-    del lines  # freed before the blocks are joined and the graph built, so none add up in the peak
-    return header_n, np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
+    """The %N count and the edges less ``index_base`` of ``text``, read one line at a time.
 
-
-def _parse_block(lines, first, index_base, delimiter, header_n):
-    """The edges of ``lines`` (numbered from ``first``) less ``index_base``, and the %N count.
-
-    Raises the error of the first malformed line, as a per-line reading
-    would meet it: headers and token counts are checked on every line, the
-    ids of the lines before the first such fault are converted, and the
-    first id that ``int()`` refuses, self-loop or id below the base is
-    found from those arrays.
+    Each line is handled in full before the next: its comment is dropped,
+    then a ``%N`` header is read or its two ids are converted and checked,
+    so the first malformed line raises ``ParseError`` with its number.  The
+    ids go into one int64 array, and from the pair that holds the first id
+    past int64 on, into a list of Python ints.
     """
-    body = list(map(str.strip, map(itemgetter(0), map(str.partition, lines, repeat("#")))))
-    faults = []  # (line index in the block, message), at most one of each kind
-    is_header = np.fromiter(map(str.startswith, body, repeat("%N")), dtype=bool, count=len(body))
-    for i in np.flatnonzero(is_header).tolist():
+    header_n = None
+    ids = array("q")
+    append = ids.append
+    for number, line in enumerate(text.splitlines(), 1):
+        line = line.partition("#")[0].strip()
+        if not line:
+            continue
+        if line.startswith("%N"):
+            try:
+                header_n = int(line[2:].strip())
+            except ValueError:
+                raise ParseError("malformed %N header", number) from None
+            if header_n < 1:
+                raise ParseError("node count in %N header must be >= 1", number)
+            continue
+        tokens = line.split(delimiter)
+        if delimiter is not None:  # splitting on whitespace leaves no padded or empty token
+            tokens = [*filter(None, map(str.strip, tokens))]
+        if len(tokens) != 2:
+            raise ParseError(f"expected two node ids, got {len(tokens)} tokens", number)
         try:
-            value = int(body[i][2:].strip())
+            u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
-            faults.append((i, "malformed %N header"))
-            break
-        if value < 1:
-            faults.append((i, "node count in %N header must be >= 1"))
-            break
-        header_n = value
-        body[i] = ""
-    # Joined by the delimiter, the lines split into their own pieces in order.
-    tokens = (" " if delimiter is None else delimiter).join(body).split(delimiter)
-    counts = np.fromiter(map(len, map(str.split, body, repeat(delimiter))), dtype=np.intp,
-                         count=len(body))
-    if delimiter is not None:  # splitting on whitespace leaves no padded or empty token
-        tokens = list(map(str.strip, tokens))
-        kept = np.fromiter(map(bool, tokens), dtype=bool, count=len(tokens))
-        counts = np.bincount(np.repeat(np.arange(len(body)), counts)[kept], minlength=len(body))
-        tokens = list(compress(tokens, kept))
-    filled = np.fromiter(map(bool, body), dtype=bool, count=len(body))
-    miscounted = np.flatnonzero(filled & (counts != 2))
-    if miscounted.size:
-        i = int(miscounted[0])
-        faults.append((i, f"expected two node ids, got {counts[i]} tokens"))
-    rows = np.flatnonzero(filled[:min([i for i, _ in faults], default=len(body))])
-    ids = tokens[:2 * rows.size]
-    try:
-        values = np.fromiter(map(int, ids), dtype=np.int64, count=len(ids))
-    except (ValueError, OverflowError):
-        values = _exact_ints(ids)
-        if values.size < len(ids):
-            k = values.size // 2
-            faults.append((int(rows[k]), f"non-integer node id in {ids[2 * k:2 * k + 2]!r}"))
-    pairs = values[:values.size // 2 * 2].reshape(-1, 2)
-    u, v = pairs[:, 0], pairs[:, 1]
-    bad = np.flatnonzero((u == v) | (u < index_base) | (v < index_base))
-    if bad.size:
-        k = int(bad[0])
-        faults.append((int(rows[k]), f"self-loop at node {u[k]}" if u[k] == v[k]
-                       else f"node id below index base {index_base}"))
-    if faults:
-        i, message = min(faults, key=itemgetter(0))  # a header fault first on its own line
-        raise ParseError(message, first + i)
-    return header_n, pairs - index_base
-
-
-def _exact_ints(tokens):
-    """``int()`` of each token up to the first it refuses, as Python ints of any size."""
-    values = []
-    for token in tokens:
+            raise ParseError(f"non-integer node id in {tokens!r}", number) from None
+        if u == v:
+            raise ParseError(f"self-loop at node {u}", number)
+        if u < index_base or v < index_base:
+            raise ParseError(f"node id below index base {index_base}", number)
         try:
-            values.append(int(token))
-        except ValueError:
-            break
-    return np.array(values, dtype=object)
+            append(u)
+            append(v)
+        except OverflowError:  # an id past int64: the pairs from here on are Python ints
+            ids = ids.tolist()[:len(ids) // 2 * 2] + [u, v]
+            append = ids.append
+    pairs = np.asarray(ids, dtype=object if isinstance(ids, list) else np.int64)
+    return header_n, pairs.reshape(-1, 2) - index_base
 
 
 def reaches_all(n, src, dst):

@@ -388,19 +388,14 @@ def test_parse_reference_corner_cases_agree():
                  "1,\t,2\n0, ,1\n", "2 ,1\n1 ,, 0\n", "", "%N 3\n \n\t\n",
                  "0 999999999999999999\n", "0 9223372036854775807\n", "007 08\n",
                  "\t1\t2 \n\n \t\n3  4\t\n", "1 2\n2 3", "0 1\r\n1 2\r\n", "0 1\n%N 4\n2 3\n",
-                 "%N 5\n3 3\n", "1 2 3 4\n", "1\n2\n", "# c\r3 3\n1 2\n"]:
+                 "%N 5\n3 3\n", "1 2 3 4\n", "1\n2\n", "# c\r3 3\n1 2\n",
+                 "%N 6\n0 1\n1 2\n\n2 3\n3 3\n", "0 1\n1 2\n2 0\n0 1\n%N 4\n3 0\n",
+                 "0 1\n2 99999999999999999999\n3 3\n", "1 9223372036854775808\n",
+                 "%N 4\n0 1\n1 18446744073709551616\n%N 3\n"]:
         for index_base in (0, 1):
             for delimiter in (None, ","):
                 expected = outcome(lambda: parse_edge_list_reference(text, index_base, delimiter))
                 assert outcome(lambda: parsed(text, index_base, delimiter)) == expected, text
-
-
-def test_parse_spans_blocks_with_exact_line_numbers(monkeypatch):
-    monkeypatch.setattr(graph_module, "PARSE_BLOCK", 3)
-    text = "%N 6\n0 1\n1 2\n\n2 3\n3 3\n"
-    assert outcome(lambda: parsed(text, 0, None)) == (ParseError, "line 6: self-loop at node 3", 6)
-    text = "0 1\n1 2\n2 0\n0 1\n%N 4\n3 0\n"
-    assert parsed(text, 0, None) == parse_edge_list_reference(text)
 
 
 def rarely(draw, odd, usual):
@@ -450,16 +445,17 @@ def test_from_edges_and_arcs_match_the_reference_at_the_key_bound(n, monkeypatch
     assert [r is not None for r in routes] == [n <= 2**31] * 2
 
 
-@pytest.mark.parametrize("comment", ["", " # c"], ids=["plain", "commented"])
-def test_parse_memory_stays_below_64_mib(comment):
-    # Without comments the text takes the array reader, with them the per-line reader.
+@pytest.mark.parametrize("line, delimiter", [("{} {}\n", None), ("{} {} # c\n", None),
+                                             ("{},{}\n", ",")], ids=["plain", "commented", "comma"])
+def test_parse_memory_stays_below_64_mib(line, delimiter):
+    # The plain text takes the array reader, the commented and comma ones the per-line reader.
     rng = np.random.default_rng(7)
     u, v = rng.integers(0, 100_000, (2, 200_000)).tolist()
-    text = "%N 100000\n" + "".join(f"{a} {b}{comment}\n" for a, b in zip(u, v) if a != b)
-    assert (graph_module._read_plain(text, 0) is None) == bool(comment)
+    text = "%N 100000\n" + "".join(line.format(a, b) for a, b in zip(u, v) if a != b)
+    assert (graph_module._read_plain(text, 0) is None) == (line != "{} {}\n")
     tracemalloc.start()
     try:
-        parse_edge_list(text)
+        parse_edge_list(text, delimiter=delimiter)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

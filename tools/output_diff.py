@@ -7,8 +7,12 @@ its harness, into one shared temporary directory, so ``graph_file`` reads
 the same on both sides.  Each checkout then runs ``centrality``,
 ``stationary --walk all`` and ``hitting --walk all --target hub,global`` on
 each input, one ``python -m nbwalk.cli`` process per job with that
-checkout's ``src`` first on the path.  ``manifest.timing_s`` is masked.
-Run from anywhere:
+checkout's ``src`` first on the path.  Each input is also copied in three
+forms that the parser's one-pass array reader refuses, so that its
+per-line reader is compared on the same graphs: with ``" # c"`` on each
+edge line, with CRLF line ends, and with ``u,v`` lines (run with
+``--delimiter comma``); each copy is run with ``centrality``.
+``manifest.timing_s`` is masked.  Run from anywhere:
 
     python3 tools/output_diff.py PARENT_DIR CHANGE_DIR [--seed 1]
 
@@ -34,6 +38,12 @@ COMMANDS = (
     ("stationary", "--walk", "all"),
     ("hitting", "--walk", "all", "--target", "hub,global"),
 )
+# (name, id separator, edge line end, line break, CLI options) of each per-line copy of an input.
+PER_LINE_FORMS = (
+    ("commented", " ", " # c", "\n", ()),
+    ("crlf", " ", "", "\r\n", ()),
+    ("comma", ",", "", "\n", ("--delimiter", "comma")),
+)
 TIMING = re.compile(rb'"timing_s": [^,\n}]*')
 
 
@@ -53,6 +63,21 @@ def write_inputs(parent, seed, outdir):
                 files[spec.key] = outdir / f"{spec.key}.txt"
                 harness.write_edge_list(g, files[spec.key])
     return files
+
+
+def jobs(files, outdir):
+    """(label, CLI arguments) of every job: each command on each input, then ``centrality`` on
+    each per-line copy of each input, written into ``outdir``."""
+    out = [(f"{key}/{command[0]}", [command[0], str(path), *command[1:]])
+           for key, path in files.items() for command in COMMANDS]
+    for key, path in files.items():
+        header, *lines = path.read_text().splitlines()
+        for form, separator, end, newline, options in PER_LINE_FORMS:
+            copy = outdir / f"{key}.{form}.txt"
+            copy.write_bytes((header + newline + "".join(
+                separator.join(line.split()) + end + newline for line in lines)).encode())
+            out.append((f"{key}.{form}/centrality", ["centrality", str(copy), *options]))
+    return out
 
 
 def run(root, argv):
@@ -91,24 +116,22 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
-    differ = jobs = 0
+    differ = count = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for key, path in write_inputs(parent, args.seed, Path(tmp)).items():
-            for command in COMMANDS:
-                job = [command[0], str(path), *command[1:]]
-                (code_p, out_p, err_p), (code_c, out_c, err_c) = run(parent, job), run(change, job)
-                if (code_p, out_p, err_p) == (code_c, out_c, err_c):
-                    verdict = "identical"
-                elif code_p != code_c:
-                    verdict = f"exit {code_p} vs {code_c}"
-                elif out_p == out_c:
-                    verdict = "stderr differs"
-                else:
-                    verdict = largest_difference(out_p, out_c)
-                jobs += 1
-                differ += verdict != "identical"
-                print(f"{key}/{command[0]:<11} {verdict}")
-    print(f"seed {args.seed}: {jobs - differ} of {jobs} jobs identical")
+        for label, job in jobs(write_inputs(parent, args.seed, Path(tmp)), Path(tmp)):
+            (code_p, out_p, err_p), (code_c, out_c, err_c) = run(parent, job), run(change, job)
+            if (code_p, out_p, err_p) == (code_c, out_c, err_c):
+                verdict = "identical"
+            elif code_p != code_c:
+                verdict = f"exit {code_p} vs {code_c}"
+            elif out_p == out_c:
+                verdict = "stderr differs"
+            else:
+                verdict = largest_difference(out_p, out_c)
+            count += 1
+            differ += verdict != "identical"
+            print(f"{label:<30} {verdict}")
+    print(f"seed {args.seed}: {count - differ} of {count} jobs identical")
     return 1 if differ else 0
 
 
