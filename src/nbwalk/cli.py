@@ -86,19 +86,14 @@ def _iterjson(obj, level=0):
     """Yield the text of ``json.dumps(obj, indent=2, sort_keys=True)``, piece by piece.
 
     An ndarray is written as its nested list, one row per piece, so no matrix
-    is ever held as one string.  NaN and infinities are written as ``null``
-    (the stdlib writes ``NaN``), so the output stays strict JSON.
+    is ever held as one string.  A scalar is written as ``json.dumps``
+    writes it, except that NaN and infinities are written as ``null`` (the
+    stdlib writes ``NaN``), so the output stays strict JSON.
     """
     if isinstance(obj, (np.generic, np.ndarray)) and obj.ndim == 0:
         obj = obj.tolist()
-    if isinstance(obj, str):
-        yield encode_basestring_ascii(obj)
-    elif obj is None or obj is True or obj is False:
-        yield "null" if obj is None else "true" if obj else "false"
-    elif isinstance(obj, int):
-        yield int.__repr__(obj)
-    elif isinstance(obj, float):
-        yield float.__repr__(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        yield "null"
     elif (isinstance(obj, np.ndarray) and obj.ndim in (1, 2) and obj.size
           and obj.dtype in (np.int64, np.float64)):
         if obj.ndim == 1:  # a vector is a one-row matrix
@@ -123,7 +118,7 @@ def _iterjson(obj, level=0):
             yield from _iterjson(value, level + 1)
         yield "\n" + "  " * level + brackets[1]
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        yield json.dumps(obj)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -351,7 +346,7 @@ def cmd_generate(args):
     lines = [f"# model={args.model} " + " ".join(f"{k}={v}" for k, v in params.items())
              + f" seed={args.seed} nbwalk={__version__}"]
     lines.append(f"%N {g.n}")
-    lines += [f"{u} {v}" for (u, v) in g.edges]
+    lines += [f"{u} {v}" for u, v in g.edge_array.tolist()]
     return {"edge_list": "\n".join(lines) + "\n"}, None, None
 
 

@@ -230,9 +230,10 @@ def parse_edge_list(text, index_base=0, delimiter=None, *, return_duplicates=Fal
     ``return_duplicates=True`` the result is ``(graph, count)``, where
     ``count`` is the number of edge lines that repeat an earlier edge.
 
-    With ``delimiter=None`` a plain text (see ``_read_plain``: ASCII, ids
-    of at most 18 digits, ``%N`` and ``#`` lines only at the top) is read in
-    one array pass.  Any other text, and a plain one with a fault, is read
+    With ``delimiter=None`` a plain text (see ``_read_plain``: ``%N`` and
+    ``#`` lines only at the top, then digits, spaces, tabs and ``\\n`` alone,
+    with ids of at most 18 digits) is read in one array pass past its
+    leading lines.  Any other text, and a plain one with a fault, is read
     one line at a time by ``_read_lines``.  Both readers give the same
     graph, count and error; the edge checks and the canonical edge order
     are array operations on the ids they return.
@@ -254,43 +255,33 @@ def parse_edge_list(text, index_base=0, delimiter=None, *, return_duplicates=Fal
 def _read_plain(text, index_base):
     """The %N count and the edges less ``index_base`` of a plain text, or None.
 
-    A text is plain when it is ASCII and, past its leading ``%N`` and ``#``
-    lines, holds only the bytes of ``_PLAIN_BYTES``, with two ids of at most
-    ``_PLAIN_DIGITS`` digits on each line that is not blank.  The token and
-    line structure is found from the bytes with numpy, and every id is
-    converted by one ``np.fromstring`` call.  None, for any other text and
-    for a fault (a malformed header, a self-loop, an id below the base), is
-    left to ``_read_lines``, which reports it with its line number.
+    A text is plain when, past its leading ``%N`` and ``#`` lines, it holds
+    only the bytes of ``_PLAIN_BYTES``, with zero or two ids of at most
+    ``_PLAIN_DIGITS`` digits on each line.  The leading lines are the top of
+    the text and are read by ``_read_lines``, so a malformed header raises
+    the same ``ParseError`` there as in the per-line reader; where a break
+    other than ``\\n`` hides an edge line among them, the text is not plain.
+    The token and line structure of the rest is found from the bytes with
+    numpy, and every id is converted by one ``np.fromstring`` call.  None,
+    for any other text and for a fault in the rest (a self-loop, an id below
+    the base), is left to ``_read_lines``, which reports it with its line
+    number.
     """
-    if not text.isascii():
-        return None
-    header_n, start = None, 0
+    start = 0
     while text.startswith(("%N", "#"), start):
-        end = text.find("\n", start) + 1 or len(text)
-        line = text[start:end]
-        start = end
-        if len(line.splitlines()) > 1:  # a break other than "\n" ends a line too
-            return None
-        line = line.partition("#")[0]
-        if line:
-            try:
-                header_n = int(line[2:].strip())
-            except ValueError:
-                return None
-            if header_n < 1:
-                return None
-    body = text[start:].encode()
-    if body.translate(None, _PLAIN_BYTES):
+        start = text.find("\n", start) + 1 or len(text)
+    header_n, lead = _read_lines(text[:start], index_base, None)
+    body = text[start:].encode("ascii", "replace")  # a non-ASCII character becomes "?"
+    if lead.size or body.translate(None, _PLAIN_BYTES):
         return None
     a = np.frombuffer(body, dtype=np.uint8)
     # The tokens are the runs of digits, the only bytes left at or above "0".
     bounds = np.flatnonzero(np.diff(a >= ord("0"), prepend=False, append=False))
     starts, ends = bounds[0::2], bounds[1::2]
-    # Two ids to a line: each pair's ids share a line, and the next pair starts on a later one.
+    # Each line holds zero or two ids.
     line_of = np.searchsorted(np.flatnonzero(a == ord("\n")), starts)
-    first, second = line_of[0::2], line_of[1::2]
-    if (starts.size % 2 or (ends - starts).max(initial=0) > _PLAIN_DIGITS
-            or (first != second).any() or (first[1:] <= second[:-1]).any()):
+    if (not np.isin(np.bincount(line_of), (0, 2)).all()
+            or (ends - starts).max(initial=0) > _PLAIN_DIGITS):
         return None
     # count= matters: with no tokens left to read np.fromstring still returns [0].
     ids = np.fromstring(body, dtype=np.int64, sep=" ", count=starts.size)

@@ -459,6 +459,31 @@ def test_generate_deterministic(tmp_path, capsys):
     assert Path(a).read_text() == Path(b).read_text()
 
 
+def test_per_line_copies_give_the_plain_files_output(tmp_path, capsys):
+    # The plain file takes the array reader; its commented, CRLF and u,v copies the per-line one.
+    plain = tmp_path / "ba.txt"
+    assert main(["--seed", "1", "-o", str(plain), "generate", "--model", "ba", "--n", "60",
+                 "--m-attach", "2"]) == 0
+    model, count, *lines = plain.read_text().splitlines()  # "# model=...", "%N 60", edges
+    copies = {"commented": (" ", " # c", "\n", []), "crlf": (" ", "", "\r\n", []),
+              "comma": (",", "", "\n", ["--delimiter", "comma"])}
+
+    def centrality(path, options):
+        out = run_json(capsys, ["centrality", str(path), *options])
+        for key in ("timing_s", "input_digest"):
+            out["manifest"].pop(key)
+        for key in ("graph_file", "delimiter"):
+            out["manifest"]["params"].pop(key)
+        return out
+
+    expected = centrality(plain, [])
+    for form, (separator, end, newline, options) in copies.items():
+        copy = tmp_path / f"ba.{form}.txt"
+        copy.write_bytes((model + newline + count + newline + "".join(
+            separator.join(line.split()) + end + newline for line in lines)).encode())
+        assert centrality(copy, options) == expected, form
+
+
 def test_generate_missing_params_exit_code(capsys):
     assert main(["generate", "--model", "er", "--n", "10"]) == 6
     capsys.readouterr()

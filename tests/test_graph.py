@@ -391,11 +391,17 @@ def test_parse_reference_corner_cases_agree():
                  "%N 5\n3 3\n", "1 2 3 4\n", "1\n2\n", "# c\r3 3\n1 2\n",
                  "%N 6\n0 1\n1 2\n\n2 3\n3 3\n", "0 1\n1 2\n2 0\n0 1\n%N 4\n3 0\n",
                  "0 1\n2 99999999999999999999\n3 3\n", "1 9223372036854775808\n",
-                 "%N 4\n0 1\n1 18446744073709551616\n%N 3\n"]:
+                 "%N 4\n0 1\n1 18446744073709551616\n%N 3\n",
+                 # Leading %N and # lines: malformed headers, breaks that hide an edge line,
+                 # a non-ASCII comment; then an even token count on the wrong lines.
+                 "%Nx\n0 1\n", "%N 0\n0 1\n", "%N 5\x0b0 0\n1 2\n", "# c\u20281 2\n2 3\n",
+                 "# caf\u00e9\n%N 3\n0 1\n", "1 2 3\n4\n", "1\n2 3 4\n",
+                 "0 1\n\ud800 2\n"]:  # a lone surrogate, which UTF-8 cannot encode
         for index_base in (0, 1):
             for delimiter in (None, ","):
                 expected = outcome(lambda: parse_edge_list_reference(text, index_base, delimiter))
                 assert outcome(lambda: parsed(text, index_base, delimiter)) == expected, text
+    assert graph_module._read_plain("# caf\u00e9\n%N 3\n0 1\n", 0) is not None
 
 
 def rarely(draw, odd, usual):

@@ -13,12 +13,13 @@ side's median and quartiles, the change's wins out of the pairs (a tie counts
 for neither side), the change of the median against the metric's bound, and
 whether the gain rule holds: the change better in at least 9 of every 10
 pairs, and its median better than the parent's by more than the parent's
-interquartile spread.  Below that table it prints, for each job, each
-side's median over the runs of the job's median within a run (the report's
-``job_median_s``, on the first output line), so that a change of
-``job_p50_s`` can be traced to the job that moved.  A run that is not
-``correct: true`` with ``failed: 0`` stops the comparison with exit
-status 1.
+interquartile spread.  Beside ``ok``/``OVER`` it prints ``unresolved`` where
+the runs spread too widely to tell (see ``verdict``).  Below that table it
+prints, for each job, each side's median over the runs of the job's median
+within a run (the report's ``job_median_s``, on the first output line), so
+that a change of ``job_p50_s`` can be traced to the job that moved.  A run
+that is not ``correct: true`` with ``failed: 0`` stops the comparison with
+exit status 1.
 """
 
 from __future__ import annotations
@@ -67,6 +68,23 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def verdict(parent, change, bound, lower):
+    """``ok`` or ``OVER`` for the change of the median against ``bound``, plus ``unresolved``.
+
+    ``unresolved`` is added where the runs spread too widely to tell: the
+    larger of the two sides' interquartile ranges, relative to the parent
+    median, is above ``bound``, and not every change run reads better than
+    every parent run.
+    """
+    pq, cq = quartiles(parent), quartiles(change)
+    rel = (cq[1] - pq[1]) / pq[1] if pq[1] else float("nan")
+    spread = max(pq[2] - pq[0], cq[2] - cq[0]) / pq[1] if pq[1] else float("inf")
+    sign = 1 if lower else -1
+    separated = max(sign * c for c in change) < min(sign * p for p in parent)
+    word = "ok" if sign * rel <= bound else "OVER"
+    return word + (" unresolved" if spread > bound and not separated else "")
+
+
 def main(argv=None):
     args = parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -86,7 +104,7 @@ def main(argv=None):
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs, "
           f"--seconds {args.seconds:g}")
     print(f"{'metric':<12} {'parent q1 / median / q3':<34} {'change q1 / median / q3':<34} "
-          f"{'wins':>6} {'median':>8} {'bound':>6}  gain rule")
+          f"{'wins':>6} {'median':>8} {'bound':>15}  gain rule")
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         parent = [r[name]["value"] for r in runs["parent"]]
@@ -96,10 +114,9 @@ def main(argv=None):
         gain = (pq[1] - cq[1]) if lower else (cq[1] - pq[1])
         rel = (cq[1] - pq[1]) / pq[1] if pq[1] else float("nan")
         holds = wins * 10 >= 9 * args.pairs and gain > pq[2] - pq[0]
-        worse = -rel if not lower else rel
         print(f"{name:<12} {' / '.join(f'{v:.4g}' for v in pq):<34} "
               f"{' / '.join(f'{v:.4g}' for v in cq):<34} {wins:>3}/{args.pairs:<2} "
-              f"{rel:>+8.1%} {'ok' if worse <= metric['bound'] else 'OVER':>6}  "
+              f"{rel:>+8.1%} {verdict(parent, change, metric['bound'], lower):>15}  "
               f"{'holds' if holds else 'does not hold'} "
               f"(gain {gain:.4g}, parent IQR {pq[2] - pq[0]:.4g})")
     print(f"{'job':<28} {'parent median s':>16} {'change median s':>16} {'change':>8}")
